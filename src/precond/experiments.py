@@ -114,7 +114,7 @@ def result_to_csv(result: ExperimentResult) -> str:
         for col in CSV_COLUMNS:
             v = row.get(col, "")
             if isinstance(v, float):
-                vals.append(repr(v))
+                vals.append(repr(float(v)))
             else:
                 vals.append(str(v))
         buf.write(",".join(vals) + "\n")
@@ -154,6 +154,19 @@ def save_result(result: ExperimentResult, output_dir: str) -> tuple[Path, Path]:
         + "\n"
     )
     return csv_path, json_path
+
+
+# Bytes of chain states that one lock-step batch may hold. An arm whose chains
+# would hold more runs them in several batches of near-equal size.
+BATCH_STATE_BYTES = 32 << 20
+
+
+def _batches(n_chains: int, n_steps: int, d: int) -> list:
+    """Split the chains of one arm into lock-step batches within BATCH_STATE_BYTES."""
+    most = max(1, BATCH_STATE_BYTES // (8 * n_steps * d))
+    n_batches = -(-n_chains // most)
+    size = -(-n_chains // n_batches)
+    return [range(i, min(i + size, n_chains)) for i in range(0, n_chains, size)]
 
 
 def _measure_row(
@@ -212,21 +225,29 @@ def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
     sqrt_sigma = linalg.sym_sqrt(sigma)
     sigma_step = 2.38 / math.sqrt(d)
     for arm_idx, arm in enumerate(arms):
-        for chain in range(config.chains_per_cell):
-            seed = derive_seed(config.master_seed, 0, arm_idx, chain)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-            x0 = sqrt_sigma @ rng.standard_normal(d)  # equilibrium start
-            cfg = samplers.ChainConfig(
-                kind="RWM", step_size=sigma_step, preconditioner=arm,
-                n_steps=config.measure, seed=seed,
-            )
+        for batch in _batches(config.chains_per_cell, config.measure, d):
+            seeds = [derive_seed(config.master_seed, 0, arm_idx, chain) for chain in batch]
+            x0s = np.array([  # equilibrium starts
+                sqrt_sigma @ np.random.default_rng(np.random.SeedSequence([seed, 1]))
+                .standard_normal(d)
+                for seed in seeds
+            ])
+            cfgs = [
+                samplers.ChainConfig(
+                    kind="RWM", step_size=sigma_step, preconditioner=arm,
+                    n_steps=config.measure, seed=seed,
+                )
+                for seed in seeds
+            ]
             t0 = time.perf_counter()
-            trace = samplers.rwm_chain(target, cfg, x0=x0)
-            wall = time.perf_counter() - t0
-            result.rows.append(
+            traces = samplers.run_chains(target, cfgs, x0s)
+            wall = (time.perf_counter() - t0) / len(batch)
+            result.rows += [
                 _measure_row("counterproductive", d, d, 0.0, arm.label, chain,
                              seed, trace, wall)
-            )
+                for chain, seed, trace in zip(batch, seeds, traces)
+            ]
+            del traces  # free this batch's states before the next one
     return result
 
 
@@ -255,44 +276,63 @@ def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
                 )
             )
             step0 = d ** (-1.0 / 6.0)
-            for chain in range(config.chains_per_cell):
-                for arm_idx, (label, base_precond) in enumerate(
-                    [("design", design), ("covariance", None), ("none", identity)]
-                ):
-                    seed = derive_seed(config.master_seed, 1, di, mi, arm_idx, chain)
-                    burn_precond = base_precond if base_precond is not None else identity
-                    burn_cfg = samplers.ChainConfig(
-                        kind="MALA", step_size=step0, preconditioner=burn_precond,
-                        n_steps=config.burn_in, seed=derive_seed(seed, 0),
-                        adapt=samplers.AdaptConfig(target_rate=0.574),
-                    )
+            arm_rows = []
+            for arm_idx, (label, base_precond) in enumerate(
+                [("design", design), ("covariance", None), ("none", identity)]
+            ):
+                burn_precond = base_precond if base_precond is not None else identity
+                rows = []
+                for batch in _batches(config.chains_per_cell,
+                                      max(config.burn_in, config.measure), d):
+                    seeds = {chain: derive_seed(config.master_seed, 1, di, mi, arm_idx, chain)
+                             for chain in batch}
+                    burn_cfgs = [
+                        samplers.ChainConfig(
+                            kind="MALA", step_size=step0, preconditioner=burn_precond,
+                            n_steps=config.burn_in, seed=derive_seed(seed, 0),
+                            adapt=samplers.AdaptConfig(target_rate=0.574),
+                        )
+                        for seed in seeds.values()
+                    ]
                     t0 = time.perf_counter()
-                    status = "ok"
-                    burn = samplers.mala_chain(target, burn_cfg, x0=beta_ls)
-                    if base_precond is None:
+                    burn = dict(zip(batch, samplers.run_chains(
+                        target, burn_cfgs, np.tile(beta_ls, (len(batch), 1)))))
+                    precond_of = {}
+                    for chain, trace in burn.items():
+                        if base_precond is not None:
+                            precond_of[chain] = base_precond
+                            continue
                         try:
-                            sigma_hat = preconditioners.sample_covariance(burn.states)
-                            precond = preconditioners.dense_covariance_preconditioner(
+                            sigma_hat = preconditioners.sample_covariance(trace.states)
+                            precond_of[chain] = preconditioners.dense_covariance_preconditioner(
                                 sigma_hat, label="covariance"
                             )
                         except (DefinitenessError, np.linalg.LinAlgError):
-                            result.rows.append(_measure_row(
-                                "hyperbolic", d, n, 0.0, label, chain, seed,
-                                None, time.perf_counter() - t0, status="failed",
-                            ))
-                            continue
-                    else:
-                        precond = base_precond
-                    run_cfg = samplers.ChainConfig(
-                        kind="MALA", step_size=step0, preconditioner=precond,
-                        n_steps=config.measure, seed=derive_seed(seed, 1),
-                    )
-                    trace = samplers.mala_chain(target, run_cfg, x0=burn.states[-1])
-                    wall = time.perf_counter() - t0
-                    result.rows.append(_measure_row(
-                        "hyperbolic", d, n, 0.0, label, chain, seed, trace, wall,
-                        status=status,
-                    ))
+                            pass  # the chain's row is marked failed
+                    run_cfgs = [
+                        samplers.ChainConfig(
+                            kind="MALA", step_size=step0, preconditioner=precond,
+                            n_steps=config.measure, seed=derive_seed(seeds[chain], 1),
+                        )
+                        for chain, precond in precond_of.items()
+                    ]
+                    starts = np.array([burn[chain].states[-1] for chain in precond_of])
+                    del burn
+                    traces = dict(zip(precond_of, samplers.run_chains(
+                        target, run_cfgs, starts))) if run_cfgs else {}
+                    wall = (time.perf_counter() - t0) / len(batch)
+                    rows += [
+                        _measure_row(
+                            "hyperbolic", d, n, 0.0, label, chain, seeds[chain],
+                            traces.get(chain), wall,
+                            status="ok" if chain in traces else "failed",
+                        )
+                        for chain in batch
+                    ]
+                    del traces
+                arm_rows.append(rows)
+            for chain in range(config.chains_per_cell):  # rows in chain-major order
+                result.rows += [rows[chain] for rows in arm_rows]
     return result
 
 
@@ -374,34 +414,51 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
             ))
 
             for arm_idx, (label, precond) in enumerate(arms):
-                for chain in range(config.chains_per_cell):
-                    seed = derive_seed(config.master_seed, 2, di, mi, arm_idx, chain)
+                if precond is None:
+                    result.rows += [
+                        _measure_row("binomial", d, n, mu, label, chain,
+                                     derive_seed(config.master_seed, 2, di, mi, arm_idx, chain),
+                                     None, 0.0, status="failed")
+                        for chain in range(config.chains_per_cell)
+                    ]
+                    continue
+                for batch in _batches(config.chains_per_cell,
+                                      max(config.burn_in, config.measure), d):
+                    seeds = [derive_seed(config.master_seed, 2, di, mi, arm_idx, chain)
+                             for chain in batch]
+                    x0s = np.array([
+                        beta_star + init_cov_sqrt @ np.random.default_rng(
+                            np.random.SeedSequence([seed, 3])
+                        ).standard_normal(d)
+                        for seed in seeds
+                    ])
+                    burn_cfgs = [
+                        samplers.ChainConfig(
+                            kind="RWM", step_size=step0, preconditioner=precond,
+                            n_steps=config.burn_in, seed=derive_seed(seed, 0),
+                            adapt=samplers.AdaptConfig(target_rate=0.234),
+                        )
+                        for seed in seeds
+                    ]
                     t0 = time.perf_counter()
-                    if precond is None:
-                        result.rows.append(_measure_row(
-                            "binomial", d, n, mu, label, chain, seed, None,
-                            time.perf_counter() - t0, status="failed",
-                        ))
-                        continue
-                    x0 = beta_star + init_cov_sqrt @ np.random.default_rng(
-                        np.random.SeedSequence([seed, 3])
-                    ).standard_normal(d)
-                    burn_cfg = samplers.ChainConfig(
-                        kind="RWM", step_size=step0, preconditioner=precond,
-                        n_steps=config.burn_in, seed=derive_seed(seed, 0),
-                        adapt=samplers.AdaptConfig(target_rate=0.234),
-                    )
-                    burn = samplers.rwm_chain(target, burn_cfg, x0=x0)
-                    run_cfg = samplers.ChainConfig(
-                        kind="RWM", step_size=burn.final_step_size,
-                        preconditioner=precond,
-                        n_steps=config.measure, seed=derive_seed(seed, 1),
-                    )
-                    trace = samplers.rwm_chain(target, run_cfg, x0=burn.states[-1])
-                    wall = time.perf_counter() - t0
-                    result.rows.append(_measure_row(
-                        "binomial", d, n, mu, label, chain, seed, trace, wall,
-                    ))
+                    burn = samplers.run_chains(target, burn_cfgs, x0s)
+                    run_cfgs = [
+                        samplers.ChainConfig(
+                            kind="RWM", step_size=b.final_step_size,
+                            preconditioner=precond,
+                            n_steps=config.measure, seed=derive_seed(seed, 1),
+                        )
+                        for seed, b in zip(seeds, burn)
+                    ]
+                    starts = np.array([b.states[-1] for b in burn])
+                    del burn
+                    traces = samplers.run_chains(target, run_cfgs, starts)
+                    wall = (time.perf_counter() - t0) / len(batch)
+                    result.rows += [
+                        _measure_row("binomial", d, n, mu, label, chain, seed, trace, wall)
+                        for chain, seed, trace in zip(batch, seeds, traces)
+                    ]
+                    del traces
     return result
 
 

@@ -1,10 +1,13 @@
 """Metropolized chains: preconditioned RWM and MALA, adaptation, mode finding.
 
-Preconditioning is applied through the proposal (x' = x + sigma L^{-1} xi for
-RWM); this is step-for-step identical to running the plain algorithm on the
-pushforward target and mapping states back through L^{-1}, provided both
-consume the same RNG stream. ``rwm_chain_pushforward_view`` exists to check
-that equivalence.
+Both chains run one Metropolis-Hastings kernel in the target's coordinates,
+with preconditioning applied through the proposal
+x' = x - sigma^2/2 (LL^T)^{-1} grad U(x) + sigma L^{-1} xi; RWM is the
+zero-drift case. This is step-for-step identical to running the plain
+algorithm on the pushforward target y = Lx and mapping states back through
+L^{-1}, provided both consume the same RNG stream.
+``rwm_chain_pushforward_view`` exists to check that equivalence.
+``run_chains`` advances many chains in lock-step by the same rule.
 """
 
 from __future__ import annotations
@@ -78,9 +81,24 @@ def mh_accept(log_pi_ratio: float, log_q_ratio: float, u: float) -> bool:
     if not 0.0 <= u < 1.0:
         raise PrecondError(f"u must lie in [0, 1), got {u}")
     total = log_pi_ratio + log_q_ratio
-    if math.isnan(total) or total == -math.inf or not math.isfinite(log_q_ratio):
+    if not math.isfinite(total):
         return False
     return math.log(u) <= min(0.0, total) if u > 0.0 else True
+
+
+def _mh_filter(log_ratio: np.ndarray, log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`mh_accept` element-wise on total log ratios, given log u.
+
+    Returns the accept mask and the mask of finite ratios. As u < 1,
+    log u <= min(0, ratio) is log u <= ratio.
+    """
+    finite = np.isfinite(log_ratio)
+    return finite & (log_u <= log_ratio), finite
+
+
+def _accept_prob(log_ratio: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """min(1, exp(ratio)), the alpha adaptation sees; 0 where the ratio is not finite."""
+    return np.where(finite, np.exp(np.minimum(log_ratio, 0.0)), 0.0)
 
 
 def adapt_step_size(
@@ -103,47 +121,82 @@ def _init_state(target: DifferentiableTarget, x0: Optional[np.ndarray]) -> np.nd
     return x0
 
 
-def rwm_chain(
-    target: DifferentiableTarget,
-    config: ChainConfig,
-    x0: Optional[np.ndarray] = None,
+def _draws(config: ChainConfig, linv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's (n, d) normals premultiplied by L^{-1}, then its n uniforms.
+
+    The raw uniforms follow the normals in stream order.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    noise = rng.standard_normal((config.n_steps, linv.shape[0])) @ linv.T
+    return noise, rng.random(config.n_steps)
+
+
+def _mh_chain(
+    target: DifferentiableTarget, config: ChainConfig, x0: Optional[np.ndarray]
 ) -> Trace:
-    """Random walk Metropolis with proposal x' = x + sigma L^{-1} xi."""
-    if config.kind != "RWM":
-        raise PrecondError("config.kind must be RWM")
+    """The scalar Metropolis-Hastings kernel, in the target's coordinates x.
+
+    Proposal x' = x - sigma^2/2 (LL^T)^{-1} grad U(x) + sigma L^{-1} xi; RWM
+    is the zero-drift case. For MALA the log proposal ratio of the
+    pushforward chain, written through L^{-1} xi, the gradients g and their
+    images (LL^T)^{-1} g, costs one mat-vec per step.
+    """
     x = _init_state(target, x0)
-    u0 = target.potential(x)
-    if not math.isfinite(u0):
+    mala = config.kind == "MALA"
+    linv = config.preconditioner.inv
+    potential, gradient = target.potential, target.gradient
+    u0 = potential(x)
+    if mala:
+        metric = linv @ linv  # (LL^T)^{-1} for symmetric L
+        g0 = gradient(x)
+        if not (math.isfinite(u0) and np.isfinite(g0).all()):
+            raise NonFiniteInputError("potential or gradient not finite at initial state")
+        drift0 = metric @ g0
+    elif not math.isfinite(u0):
         raise NonFiniteInputError("potential is not finite at the initial state")
     n, d = config.n_steps, target.dim
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    # noise premultiplied by L^{-1}; the raw uniforms follow in stream order
-    noise = rng.standard_normal((n, d)) @ config.preconditioner.inv.T
-    unif = rng.random(n)
-    potential = target.potential
+    noise, unif = _draws(config, linv)
     states = np.empty((n, d))
     accepted = np.empty(n, dtype=bool)
     log_pots = np.empty(n)
     sigma = config.step_size
+    adapt = config.adapt
+    if adapt is None:
+        noise *= sigma  # the same products as sigma * noise[t] step by step
     warnings = 0
     for t in range(n):
-        prop = x + sigma * noise[t]
-        u_prop = potential(prop)
-        log_ratio = u0 - u_prop
-        if not math.isfinite(log_ratio):
+        step = noise[t] if adapt is None else sigma * noise[t]
+        if mala:
+            s2 = sigma * sigma
+            prop = x + step - 0.5 * s2 * drift0
+            u_prop = potential(prop)
+            g_prop = gradient(prop)
+            drift_prop = metric @ g_prop
+            g_sum = g0 + g_prop
+            log_ratio = (u0 - u_prop + 0.5 * (step @ g_sum)
+                         - 0.125 * s2 * (g_sum @ (drift0 + drift_prop)))
+        else:
+            prop = x + step
+            u_prop = potential(prop)
+            log_ratio = u0 - u_prop
+        if math.isfinite(log_ratio):
+            log_alpha = min(log_ratio, 0.0)
+            u = unif[t]
+            ok = u == 0.0 or math.log(u) <= log_alpha
+            alpha = math.exp(log_alpha)
+        else:
             warnings += 1
             ok = False
             alpha = 0.0
-        else:
-            alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
-            ok = mh_accept(log_ratio, 0.0, unif[t])
         if ok:
             x, u0 = prop, u_prop
+            if mala:
+                g0, drift0 = g_prop, drift_prop
         states[t] = x
         accepted[t] = ok
         log_pots[t] = u0
-        if config.adapt is not None:
-            sigma = adapt_step_size(sigma, t, alpha, config.adapt)
+        if adapt is not None:
+            sigma = adapt_step_size(sigma, t, alpha, adapt)
     return Trace(
         states=states,
         accepted=accepted,
@@ -155,6 +208,105 @@ def rwm_chain(
     )
 
 
+def _mh_lockstep(
+    target: DifferentiableTarget, configs: list, x0s: np.ndarray
+) -> list:
+    """K chains of one kind and length advanced together by the scalar kernel's rule.
+
+    Each chain keeps its own stream, preconditioner, step size and adaptation;
+    potential and gradient see all K proposals as one (K, d) array. Each
+    step's states are written over the noise that step consumed.
+    """
+    k_chains, d = x0s.shape
+    mala = configs[0].kind == "MALA"
+    n = configs[0].n_steps
+    linvs = np.stack([c.preconditioner.inv for c in configs])
+    states = np.empty((k_chains, n, d))
+    log_u = np.empty((n, k_chains))
+    for k, cfg in enumerate(configs):
+        states[k], log_u[:, k] = _draws(cfg, linvs[k])
+    with np.errstate(divide="ignore"):
+        np.log(log_u, out=log_u)
+    potential, gradient = target.potential, target.gradient
+    x = x0s.copy()
+    u0 = np.array(potential(x), dtype=float)
+    finite = np.isfinite(u0)
+    if mala:
+        metrics = linvs @ linvs  # (LL^T)^{-1} per chain, for symmetric L
+        g0 = gradient(x)
+        finite &= np.isfinite(g0).all(axis=1)
+        drift0 = (metrics @ g0[:, :, None])[:, :, 0]
+    if not finite.all():
+        raise NonFiniteInputError(
+            f"potential or gradient not finite at the initial state of chain "
+            f"{int(np.argmin(finite))}"
+        )
+    accepted = np.empty((k_chains, n), dtype=bool)
+    log_pots = np.empty((k_chains, n))
+    finite_steps = np.empty((n, k_chains), dtype=bool)
+    sigma = np.array([c.step_size for c in configs])[:, None]
+    adapting = [c.adapt is not None for c in configs]
+    adapt_any = any(adapting)
+    if adapt_any:
+        decay = np.array([c.adapt.decay_exponent if c.adapt else 1.0 for c in configs])
+        rate = np.array([c.adapt.target_rate if c.adapt else 0.0 for c in configs])
+        # gains[t, k] = (t + 1)^(-decay_k), zero for chains that do not adapt
+        gains = np.arange(1.0, n + 1.0)[:, None] ** -decay * np.array(adapting)
+    else:
+        states *= sigma[:, :, None]
+    for t in range(n):
+        step = sigma * states[:, t] if adapt_any else states[:, t]
+        if mala:
+            s2 = sigma * sigma
+            prop = x + step - 0.5 * s2 * drift0
+            u_prop = potential(prop)
+            g_prop = gradient(prop)
+            drift_prop = (metrics @ g_prop[:, :, None])[:, :, 0]
+            g_sum = g0 + g_prop
+            log_ratio = (u0 - u_prop + 0.5 * np.einsum("ki,ki->k", step, g_sum)
+                         - 0.125 * s2[:, 0] * np.einsum("ki,ki->k", g_sum, drift0 + drift_prop))
+        else:
+            prop = x + step
+            u_prop = potential(prop)
+            log_ratio = u0 - u_prop
+        ok, finite_steps[t] = _mh_filter(log_ratio, log_u[t])
+        moved = ok[:, None]
+        np.copyto(x, prop, where=moved)
+        np.copyto(u0, u_prop, where=ok)
+        if mala:
+            np.copyto(g0, g_prop, where=moved)
+            np.copyto(drift0, drift_prop, where=moved)
+        states[:, t] = x
+        accepted[:, t] = ok
+        log_pots[:, t] = u0
+        if adapt_any:
+            alpha = _accept_prob(log_ratio, finite_steps[t])
+            sigma = sigma * np.exp(gains[t] * (alpha - rate))[:, None]
+    return [
+        Trace(
+            states=states[k],
+            accepted=accepted[k],
+            log_potentials=log_pots[k],
+            config=cfg,
+            x0=x0s[k].copy(),
+            final_step_size=float(sigma[k, 0]),
+            n_warnings=int(n - finite_steps[:, k].sum()),
+        )
+        for k, cfg in enumerate(configs)
+    ]
+
+
+def rwm_chain(
+    target: DifferentiableTarget,
+    config: ChainConfig,
+    x0: Optional[np.ndarray] = None,
+) -> Trace:
+    """Random walk Metropolis with proposal x' = x + sigma L^{-1} xi."""
+    if config.kind != "RWM":
+        raise PrecondError("config.kind must be RWM")
+    return _mh_chain(target, config, x0)
+
+
 def rwm_chain_pushforward_view(
     target: DifferentiableTarget,
     config: ChainConfig,
@@ -163,7 +315,7 @@ def rwm_chain_pushforward_view(
     """Plain RWM on the pushforward target, states mapped back through L^{-1}.
 
     Consumes the RNG stream in the same order as :func:`rwm_chain`, so the two
-    must agree step for step.
+    must agree step for step. It is kept as the test oracle of that kernel.
     """
     if config.kind != "RWM":
         raise PrecondError("config.kind must be RWM")
@@ -220,62 +372,12 @@ def mala_chain(
 ) -> Trace:
     """Metropolis-adjusted Langevin: drift sigma^2 grad/2, variance sigma^2.
 
-    The dynamics run in the pushforward space y = Lx; recorded states are
-    mapped back to the original coordinates.
+    The dynamics are those of plain MALA on the pushforward y = Lx, run in
+    the original coordinates.
     """
     if config.kind != "MALA":
         raise PrecondError("config.kind must be MALA")
-    precond = config.preconditioner
-    pushed = pushforward(target, precond)
-    x = _init_state(target, x0)
-    y = precond.l @ x
-    u0 = pushed.potential(y)
-    g0 = pushed.gradient(y)
-    if not (math.isfinite(u0) and np.isfinite(g0).all()):
-        raise NonFiniteInputError("potential or gradient not finite at initial state")
-    n, d = config.n_steps, target.dim
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    raw = rng.standard_normal((n, d))
-    unif = rng.random(n)
-    linv = precond.inv
-    states = np.empty((n, d))
-    accepted = np.empty(n, dtype=bool)
-    log_pots = np.empty(n)
-    sigma = config.step_size
-    warnings = 0
-    for t in range(n):
-        s2 = sigma * sigma
-        prop = y - 0.5 * s2 * g0 + sigma * raw[t]
-        u_prop = pushed.potential(prop)
-        g_prop = pushed.gradient(prop)
-        if not (math.isfinite(u_prop) and np.isfinite(g_prop).all()):
-            warnings += 1
-            ok = False
-            alpha = 0.0
-        else:
-            fwd = prop - y + 0.5 * s2 * g0
-            bwd = y - prop + 0.5 * s2 * g_prop
-            log_q = (fwd @ fwd - bwd @ bwd) / (2.0 * s2)
-            log_pi = u0 - u_prop
-            total = log_pi + log_q
-            alpha = min(1.0, math.exp(min(total, 0.0))) if math.isfinite(total) else 0.0
-            ok = mh_accept(log_pi, log_q, unif[t])
-        if ok:
-            y, u0, g0 = prop, u_prop, g_prop
-        states[t] = linv @ y
-        accepted[t] = ok
-        log_pots[t] = u0
-        if config.adapt is not None:
-            sigma = adapt_step_size(sigma, t, alpha, config.adapt)
-    return Trace(
-        states=states,
-        accepted=accepted,
-        log_potentials=log_pots,
-        config=config,
-        x0=_init_state(target, x0),
-        final_step_size=sigma,
-        n_warnings=warnings,
-    )
+    return _mh_chain(target, config, x0)
 
 
 def run_chain(
@@ -286,6 +388,33 @@ def run_chain(
     if config.kind == "RWM":
         return rwm_chain(target, config, x0)
     return mala_chain(target, config, x0)
+
+
+def run_chains(
+    target: DifferentiableTarget, configs: list, x0s: np.ndarray
+) -> list:
+    """Run K chains of one kind and length; returns their traces in order.
+
+    Each chain draws from its own ``SeedSequence(seed)`` stream in the order
+    :func:`run_chain` does and has its own preconditioner, step size and
+    adaptation. One chain runs the scalar kernel; K > 1 chains run in
+    lock-step, which needs the target's potential and gradient to accept a
+    (K, d) array of states; ``x0s`` holds the K initial states.
+    """
+    configs = list(configs)
+    if not configs:
+        raise PrecondError("run_chains needs at least one chain config")
+    if len({(c.kind, c.n_steps) for c in configs}) > 1:
+        raise PrecondError("run_chains needs chains of one kind and one length")
+    k_chains, d = len(configs), target.dim
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.shape != (k_chains, d):
+        raise PrecondError(
+            f"initial states have shape {x0s.shape}, expected ({k_chains}, {d})"
+        )
+    if k_chains == 1:
+        return [run_chain(target, configs[0], x0s[0])]
+    return _mh_lockstep(target, configs, x0s)
 
 
 def find_mode(

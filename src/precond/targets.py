@@ -76,6 +76,10 @@ Structure = Union[AdditiveStructure, MultiplicativeStructure, None]
 class DifferentiableTarget:
     """A potential U with analytic derivatives and optional structure.
 
+    The four target families below also evaluate ``potential`` and
+    ``gradient`` on a (K, d) array of states, returning (K,) potentials and
+    (K, d) gradients, which is how chains run in lock-step.
+
     ``hessian_lower`` / ``hessian_upper`` are Loewner-order extremes of the
     Hessian family (attained or limiting); when present they make post-
     preconditioning condition numbers computable in closed form.
@@ -96,6 +100,16 @@ class DifferentiableTarget:
     params: dict = field(default_factory=dict)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """a @ b for vectors; the row-wise dot products for (K, d) arrays."""
+    return a @ b if a.ndim == 1 else np.einsum("ki,ki->k", a, b)
+
+
+def _apply(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x for a state (d,), and for each row of a batch (K, d)."""
+    return mat @ x if x.ndim == 1 else x @ mat.T
+
+
 def gaussian_target(mu: np.ndarray, sigma: np.ndarray) -> DifferentiableTarget:
     """Gaussian N(mu, sigma) as a target; U(x) = (x-mu)^T Sigma^{-1} (x-mu)/2."""
     mu = np.asarray(mu, dtype=float)
@@ -111,10 +125,11 @@ def gaussian_target(mu: np.ndarray, sigma: np.ndarray) -> DifferentiableTarget:
 
     def potential(x):
         r = np.asarray(x, dtype=float) - mu
-        return 0.5 * float(r @ precision @ r)
+        u = 0.5 * _rowdot(r @ precision, r)
+        return float(u) if r.ndim == 1 else u
 
     def gradient(x):
-        return precision @ (np.asarray(x, dtype=float) - mu)
+        return _apply(precision, np.asarray(x, dtype=float) - mu)
 
     def hessian(x):
         return precision
@@ -152,7 +167,8 @@ def cosine_hard_target(m: float, big_m: float) -> DifferentiableTarget:
 
     def potential(x):
         x = np.asarray(x, dtype=float)
-        return float(a * np.cos(x).sum() + 0.5 * b * (x @ x))
+        u = a * np.cos(x).sum(axis=-1) + 0.5 * b * _rowdot(x, x)
+        return float(u) if x.ndim == 1 else u
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
@@ -201,12 +217,13 @@ def hyperbolic_regression_target(
 
     def potential(beta):
         beta = np.asarray(beta, dtype=float)
-        quad = yty - 2.0 * (beta @ xty) + beta @ xtx @ beta
-        return 0.5 * quad / sigma2 + lam * np.sqrt(1.0 + beta * beta).sum()
+        quad = yty - 2.0 * (beta @ xty) + _rowdot(beta @ xtx, beta)
+        return 0.5 * quad / sigma2 + lam * np.sqrt(1.0 + beta * beta).sum(axis=-1)
 
     def gradient(beta):
         beta = np.asarray(beta, dtype=float)
-        return (xtx @ beta - xty) / sigma2 + lam * beta / np.sqrt(1.0 + beta * beta)
+        return ((_apply(xtx, beta) - xty) / sigma2
+                + lam * beta / np.sqrt(1.0 + beta * beta))
 
     def varying(beta):
         beta = np.asarray(beta, dtype=float)
@@ -265,15 +282,16 @@ def binomial_gprior_target(
 
     def potential(beta):
         beta = np.asarray(beta, dtype=float)
-        t = x_mat @ beta
-        ll = w @ ((1.0 - y) * t + np.logaddexp(0.0, -t))
-        return float(ll + 0.5 * beta @ prior_prec @ beta)
+        t = _apply(x_mat, beta)
+        ll = ((1.0 - y) * t + np.logaddexp(0.0, -t)) @ w
+        u = ll + 0.5 * _rowdot(beta @ prior_prec, beta)
+        return float(u) if beta.ndim == 1 else u
 
     def gradient(beta):
         beta = np.asarray(beta, dtype=float)
-        t = x_mat @ beta
+        t = _apply(x_mat, beta)
         p = 1.0 / (1.0 + np.exp(-t))
-        return x_mat.T @ (w * (p - y)) + prior_prec @ beta
+        return _apply(x_mat.T, w * (p - y)) + _apply(prior_prec, beta)
 
     def lam_diag(beta):
         beta = np.asarray(beta, dtype=float)

@@ -157,6 +157,50 @@ def test_verify_bounds_smoke_all_pass():
     assert all(row["status"] == "pass" for row in result.rows)
 
 
+def test_batches_cover_chains_within_state_budget():
+    chunks = experiments._batches(100, 10_000, 5)
+    assert [list(c) for c in chunks] == [list(range(50)), list(range(50, 100))]
+    assert experiments._batches(20, 5_000, 5) == [range(20)]
+    # a chain over the budget on its own still runs, one at a time
+    assert experiments._batches(3, 10**7, 5) == [range(0, 1), range(1, 2), range(2, 3)]
+    for k, n, d in [(7, 3_000, 40), (15, 10_000, 10), (1000, 100_000, 20)]:
+        chunks = experiments._batches(k, n, d)
+        assert [c for chunk in chunks for c in chunk] == list(range(k))
+        assert max(len(c) for c in chunks) * 8 * n * d <= experiments.BATCH_STATE_BYTES
+
+
+def test_split_batches_give_the_same_rows(monkeypatch):
+    cfg = ExperimentConfig(experiment="counterproductive", dims=(5,),
+                           chains_per_cell=5, burn_in=0, measure=400, master_seed=3)
+
+    def rows():
+        return [{k: v for k, v in row.items() if k != "wall_time"}
+                for row in run_experiment(cfg).rows]
+
+    whole = rows()
+    # room for two chains' states: batches of 2, 2 and 1 chains per arm
+    monkeypatch.setattr(experiments, "BATCH_STATE_BYTES", 2 * 8 * 400 * 5)
+    assert rows() == whole
+
+
+def test_verify_bounds_csv_roundtrip():
+    # bounds computed in numpy must be written as plain numbers
+    cfg = ExperimentConfig(
+        experiment="verify-bounds", master_seed=11,
+        extra={"n_instances": 2, "n_preconditioners": 2},
+    )
+    result = run_experiment(cfg)
+    text = result_to_csv(result)
+    assert "np." not in text
+    back = result_from_csv(text)
+    assert len(back.rows) == len(result.rows)
+    for got, row in zip(back.rows, result.rows):
+        assert got["arm"] == row["arm"] and got["status"] == row["status"]
+        assert got["median_ess"] == row["median_ess"]
+        assert got["acceptance"] == row["acceptance"]
+    assert result_to_csv(back) == text
+
+
 # -- model files ---------------------------------------------------------------
 
 def _write(tmp_path, name, text):

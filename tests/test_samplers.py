@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precond import preconditioners, samplers, targets
 from precond.errors import ModeSearchError, NonFiniteInputError, PrecondError
@@ -308,3 +310,175 @@ def test_rejected_steps_keep_state():
     )
     same = np.all(trace.states[1:] == trace.states[:-1], axis=1)
     assert np.array_equal(same, ~trace.accepted[1:])
+
+
+# -- one kernel, run in lock-step ----------------------------------------------
+
+def _mala_pushforward_reference(target, config, x0):
+    """Plain MALA on the pushforward y = Lx, states mapped back through L^{-1}.
+
+    The textbook form of the preconditioned chain, with the forward and
+    backward proposal terms written out; it consumes the stream as the
+    kernel does.
+    """
+    precond = config.preconditioner
+    pushed = preconditioners.pushforward(target, precond)
+    y = precond.l @ x0
+    u0, g0 = pushed.potential(y), pushed.gradient(y)
+    n, d = config.n_steps, target.dim
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    raw = rng.standard_normal((n, d))
+    unif = rng.random(n)
+    states = np.empty((n, d))
+    accepted = np.empty(n, dtype=bool)
+    s2 = config.step_size ** 2
+    for t in range(n):
+        prop = y - 0.5 * s2 * g0 + config.step_size * raw[t]
+        u_prop, g_prop = pushed.potential(prop), pushed.gradient(prop)
+        fwd = prop - y + 0.5 * s2 * g0
+        bwd = y - prop + 0.5 * s2 * g_prop
+        log_q = (fwd @ fwd - bwd @ bwd) / (2.0 * s2)
+        accepted[t] = samplers.mh_accept(u0 - u_prop, log_q, unif[t])
+        if accepted[t]:
+            y, u0, g0 = prop, u_prop, g_prop
+        states[t] = precond.inv @ y
+    return states, accepted
+
+
+def _hyperbolic_fixture(d=4, n=20, seed=21):
+    x_mat, y, lam = targets.synth_regression_data(d, n, seed)
+    t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+    design = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
+    return t, design
+
+
+def test_mala_matches_pushforward_reference():
+    t, design = _hyperbolic_fixture()
+    x0 = samplers.find_mode(t, design)
+    cfg = ChainConfig(kind="MALA", step_size=0.8, preconditioner=design,
+                      n_steps=600, seed=31)
+    trace = samplers.mala_chain(t, cfg, x0=x0)
+    states, accepted = _mala_pushforward_reference(t, cfg, x0)
+    assert 0.2 < accepted.mean() < 0.98
+    assert np.array_equal(trace.accepted, accepted)
+    assert np.abs(trace.states - states).max() <= 1e-10
+
+
+def _mixed_batch(t, design, kind, adapt, n=500):
+    """Five chains with their own preconditioner, step size, seed and adaptation.
+
+    MALA step sizes stay inside each preconditioner's stable range: beyond it
+    the drift map amplifies one-ulp differences between the batched and the
+    row-by-row potential, and the two runs part ways.
+    """
+    d = t.dim
+    rng = np.random.default_rng(5)
+    precs = [
+        preconditioners.identity_preconditioner(d),
+        design,
+        preconditioners.from_matrix(random_spd(rng, d) + 5.0 * design.l),
+    ]
+    steps = [0.15, 0.9, 2.5] if kind == "MALA" else [0.3, 1.2, 3.0]
+    configs = [
+        ChainConfig(
+            kind=kind, step_size=steps[k % 3] * (1.0 + 0.1 * k), preconditioner=precs[k % 3],
+            n_steps=n, seed=40 + k,
+            adapt=AdaptConfig(target_rate=0.574 if kind == "MALA" else 0.234,
+                              decay_exponent=0.6 + 0.1 * (k % 2))
+            if adapt and k != 3 else None,
+        )
+        for k in range(5)
+    ]
+    x0s = samplers.find_mode(t, design) + 0.05 * rng.standard_normal((5, d))
+    return configs, x0s
+
+
+@pytest.mark.parametrize("kind", ["RWM", "MALA"])
+@pytest.mark.parametrize("adapt", [False, True])
+def test_run_chains_matches_scalar_kernel(kind, adapt):
+    t, design = _hyperbolic_fixture()
+    configs, x0s = _mixed_batch(t, design, kind, adapt)
+    batch = samplers.run_chains(t, configs, x0s)
+    assert len(batch) == len(configs)
+    for cfg, x0, got in zip(configs, x0s, batch):
+        ref = samplers.run_chain(t, cfg, x0)
+        assert got.config is cfg
+        assert np.array_equal(got.x0, x0)
+        assert np.array_equal(got.accepted, ref.accepted)
+        assert np.abs(got.states - ref.states).max() <= 1e-10
+        assert got.final_step_size == pytest.approx(ref.final_step_size, rel=1e-12, abs=0)
+        assert got.n_warnings == ref.n_warnings
+        if cfg.adapt is None:
+            assert got.final_step_size == cfg.step_size
+    assert 0.05 < np.mean([tr.accepted.mean() for tr in batch]) < 0.95
+
+
+def test_run_chains_single_chain_is_bit_identical_to_rwm_chain():
+    t = targets.gaussian_target(np.zeros(5), SIGMA_PI_FIXTURE)
+    p = preconditioners.diag_covariance_preconditioner(SIGMA_PI_FIXTURE)
+    for adapt in (None, AdaptConfig(target_rate=0.234)):
+        cfg = _rwm_config(5, 0.9, 800, seed=23, adapt=adapt, precond=p)
+        x0 = np.full(5, 0.3)
+        (got,) = samplers.run_chains(t, [cfg], x0[None, :])
+        ref = samplers.rwm_chain(t, cfg, x0=x0)
+        assert np.array_equal(got.states, ref.states)
+        assert np.array_equal(got.accepted, ref.accepted)
+        assert np.array_equal(got.log_potentials, ref.log_potentials)
+        assert got.final_step_size == ref.final_step_size
+
+
+def test_run_chains_nonfinite_start():
+    t = targets.gaussian_target(np.ones(2), np.eye(2))
+    cfgs = [_rwm_config(2, 1.0, 50, seed=s) for s in (1, 2)]
+    with pytest.raises(NonFiniteInputError):
+        samplers.run_chains(t, cfgs, np.array([[0.0, 0.0], [np.nan, 0.0]]))
+
+
+def test_run_chains_rejects_mixed_batches():
+    t = targets.gaussian_target(np.zeros(2), np.eye(2))
+    p = preconditioners.identity_preconditioner(2)
+    rwm = _rwm_config(2, 1.0, 20, seed=1)
+    mala = ChainConfig(kind="MALA", step_size=0.5, preconditioner=p, n_steps=20, seed=2)
+    shorter = _rwm_config(2, 1.0, 10, seed=3)
+    with pytest.raises(PrecondError):
+        samplers.run_chains(t, [rwm, mala], np.zeros((2, 2)))
+    with pytest.raises(PrecondError):
+        samplers.run_chains(t, [rwm, shorter], np.zeros((2, 2)))
+    with pytest.raises(PrecondError):
+        samplers.run_chains(t, [rwm, rwm], np.zeros((3, 2)))
+    with pytest.raises(PrecondError):
+        samplers.run_chains(t, [rwm, rwm], np.zeros(2))
+    with pytest.raises(PrecondError):
+        samplers.run_chains(t, [rwm], np.zeros((1, 3)))
+    with pytest.raises(PrecondError):
+        samplers.run_chains(t, [], np.zeros((0, 2)))
+
+
+_LOG_RATIOS = st.one_of(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -1e308, 1e308]),
+)
+_UNIFORMS = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LOG_RATIOS, _LOG_RATIOS, _UNIFORMS), min_size=1, max_size=12))
+def test_vectorised_accept_rule_matches_mh_accept(cases):
+    log_pi = np.array([c[0] for c in cases])
+    log_q = np.array([c[1] for c in cases])
+    u = [c[2] for c in cases]
+    log_u = np.array([math.log(v) if v > 0.0 else -math.inf for v in u])
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = log_pi + log_q
+        accept, finite = samplers._mh_filter(total, log_u)
+        alpha = samplers._accept_prob(total, finite)
+    expect = [samplers.mh_accept(a, b, v) for a, b, v in cases]
+    assert accept.tolist() == expect
+    for tot, ok, fin, a in zip(total, accept, finite, alpha):
+        if math.isfinite(tot):
+            assert fin
+            assert a == pytest.approx(math.exp(min(tot, 0.0)), rel=1e-15, abs=0)
+        else:
+            assert not fin and not ok and a == 0.0

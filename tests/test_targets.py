@@ -211,3 +211,29 @@ def test_hyperbolic_prior_sampler_matches_density():
     m1, _ = quad(lambda b: np.sqrt(1 + b * b) * np.exp(-lam * np.sqrt(1 + b * b)), -30, 30)
     assert abs(draws.mean()) < 0.02
     assert np.sqrt(1 + draws**2).mean() == pytest.approx(m1 / z, abs=0.02)
+
+
+def _family_targets():
+    x_mat, y, lam = targets.synth_regression_data(4, 16, 3)
+    bx, by, bw = targets.synth_binomial_data(4, 20, 5.0, 4)
+    return [
+        targets.gaussian_target(np.arange(5.0), SIGMA_PI_FIXTURE),
+        targets.cosine_hard_target(1.0, 4.0),
+        targets.hyperbolic_regression_target(x_mat, y, 1.0, lam),
+        targets.binomial_gprior_target(bx, by, bw, 0.01 / 20),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_batched_potential_and_gradient_match_rows(index):
+    t = _family_targets()[index]
+    rng = np.random.default_rng(index)
+    batch = rng.standard_normal((7, t.dim)) * np.array([[0.01], [0.3], [1.0], [2.0],
+                                                        [5.0], [1.0], [0.0]])
+    pots = t.potential(batch)
+    grads = t.gradient(batch)
+    assert pots.shape == (7,) and grads.shape == (7, t.dim)
+    for k, x in enumerate(batch):
+        assert pots[k] == pytest.approx(t.potential(x), rel=1e-12, abs=0)
+        np.testing.assert_allclose(grads[k], t.gradient(x), rtol=1e-12,
+                                   atol=1e-12 * np.abs(t.gradient(x)).max())
