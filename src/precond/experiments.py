@@ -156,13 +156,13 @@ def save_result(result: ExperimentResult, output_dir: str) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
-# Bytes of chain states that one lock-step batch may hold. An arm whose chains
-# would hold more runs them in several batches of near-equal size.
+# Bytes of chain states that one lock-step batch may hold. Chains that would
+# hold more run in several batches of near-equal size.
 BATCH_STATE_BYTES = 32 << 20
 
 
 def _batches(n_chains: int, n_steps: int, d: int) -> list:
-    """Split the chains of one arm into lock-step batches within BATCH_STATE_BYTES."""
+    """Split n_chains chains into lock-step batches within BATCH_STATE_BYTES."""
     most = max(1, BATCH_STATE_BYTES // (8 * n_steps * d))
     n_batches = -(-n_chains // most)
     size = -(-n_chains // n_batches)
@@ -219,7 +219,7 @@ def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
             kind="KappaSummary",
             value=conditioning.kappa_after(target, arms[2]).value,
             inputs={"kappa": kappa.value},
-            extras={"kappa_dense": conditioning.kappa_after(target, arms[0]).value},
+            extras={"kappa_dense": conditioning.kappa_after(target, arms[1]).value},
         )
     )
     sqrt_sigma = linalg.sym_sqrt(sigma)
@@ -358,9 +358,6 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                 target, beta_star, label="mode"
             )
             identity = preconditioners.identity_preconditioner(d, label="none")
-            rng = np.random.default_rng(
-                np.random.SeedSequence([derive_seed(config.master_seed, 2, di, mi, 7), 2])
-            )
             init_cov_sqrt = linalg.sym_inv_sqrt(design.llt())  # (n^-1 X^T X)^{-1/2}
             step0 = 2.38 / math.sqrt(d)
 
@@ -379,9 +376,6 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                 long_n, mode_precond, derive_seed(config.master_seed, 2, di, mi, 9)
             )
 
-            def grad_matrix(states: np.ndarray) -> np.ndarray:
-                return np.vstack([target.gradient(s) for s in states])
-
             arms: list[tuple[str, Optional[preconditioners.Preconditioner]]] = []
             for label, states in (
                 ("covariance-short", short_trace.states),
@@ -398,7 +392,7 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
             ):
                 try:
                     arms.append((label, preconditioners.fisher_preconditioner(
-                        grad_matrix(states), label=label)))
+                        target.gradient(states), label=label)))
                 except (DefinitenessError, PrecondError):
                     arms.append((label, None))
             arms += [("mode", mode_precond), ("none", identity), ("design", design)]
@@ -413,52 +407,56 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                 extras={"mode_bound": mode_bound.value},
             ))
 
-            for arm_idx, (label, precond) in enumerate(arms):
-                if precond is None:
-                    result.rows += [
-                        _measure_row("binomial", d, n, mu, label, chain,
-                                     derive_seed(config.master_seed, 2, di, mi, arm_idx, chain),
-                                     None, 0.0, status="failed")
-                        for chain in range(config.chains_per_cell)
-                    ]
-                    continue
-                for batch in _batches(config.chains_per_cell,
-                                      max(config.burn_in, config.measure), d):
-                    seeds = [derive_seed(config.master_seed, 2, di, mi, arm_idx, chain)
-                             for chain in batch]
-                    x0s = np.array([
-                        beta_star + init_cov_sqrt @ np.random.default_rng(
-                            np.random.SeedSequence([seed, 3])
-                        ).standard_normal(d)
-                        for seed in seeds
-                    ])
-                    burn_cfgs = [
-                        samplers.ChainConfig(
-                            kind="RWM", step_size=step0, preconditioner=precond,
-                            n_steps=config.burn_in, seed=derive_seed(seed, 0),
-                            adapt=samplers.AdaptConfig(target_rate=0.234),
-                        )
-                        for seed in seeds
-                    ]
-                    t0 = time.perf_counter()
-                    burn = samplers.run_chains(target, burn_cfgs, x0s)
-                    run_cfgs = [
-                        samplers.ChainConfig(
-                            kind="RWM", step_size=b.final_step_size,
-                            preconditioner=precond,
-                            n_steps=config.measure, seed=derive_seed(seed, 1),
-                        )
-                        for seed, b in zip(seeds, burn)
-                    ]
-                    starts = np.array([b.states[-1] for b in burn])
-                    del burn
-                    traces = samplers.run_chains(target, run_cfgs, starts)
-                    wall = (time.perf_counter() - t0) / len(batch)
-                    result.rows += [
-                        _measure_row("binomial", d, n, mu, label, chain, seed, trace, wall)
-                        for chain, seed, trace in zip(batch, seeds, traces)
-                    ]
-                    del traces
+            # Every chain of every arm of the cell runs in one lock-step batch
+            # per phase. Rows stay in arm-major order; an arm without a
+            # preconditioner keeps its failed rows in place.
+            slots = [
+                (label, precond, chain,
+                 derive_seed(config.master_seed, 2, di, mi, arm_idx, chain))
+                for arm_idx, (label, precond) in enumerate(arms)
+                for chain in range(config.chains_per_cell)
+            ]
+            rows = [
+                None if precond is not None else _measure_row(
+                    "binomial", d, n, mu, label, chain, seed, None, 0.0, status="failed")
+                for label, precond, chain, seed in slots
+            ]
+            live = [k for k, row in enumerate(rows) if row is None]
+            for batch in _batches(len(live), max(config.burn_in, config.measure), d):
+                picked = [slots[live[j]] for j in batch]
+                x0s = np.array([
+                    beta_star + init_cov_sqrt @ np.random.default_rng(
+                        np.random.SeedSequence([seed, 3])
+                    ).standard_normal(d)
+                    for _, _, _, seed in picked
+                ])
+                burn_cfgs = [
+                    samplers.ChainConfig(
+                        kind="RWM", step_size=step0, preconditioner=precond,
+                        n_steps=config.burn_in, seed=derive_seed(seed, 0),
+                        adapt=samplers.AdaptConfig(target_rate=0.234),
+                    )
+                    for _, precond, _, seed in picked
+                ]
+                t0 = time.perf_counter()
+                burn = samplers.run_chains(target, burn_cfgs, x0s)
+                run_cfgs = [
+                    samplers.ChainConfig(
+                        kind="RWM", step_size=b.final_step_size,
+                        preconditioner=precond,
+                        n_steps=config.measure, seed=derive_seed(seed, 1),
+                    )
+                    for (_, precond, _, seed), b in zip(picked, burn)
+                ]
+                starts = np.array([b.states[-1] for b in burn])
+                del burn
+                traces = samplers.run_chains(target, run_cfgs, starts)
+                wall = (time.perf_counter() - t0) / len(batch)
+                for j, (label, _, chain, seed), trace in zip(batch, picked, traces):
+                    rows[live[j]] = _measure_row(
+                        "binomial", d, n, mu, label, chain, seed, trace, wall)
+                del traces
+            result.rows += rows
     return result
 
 
@@ -537,7 +535,7 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
             "arm": "cosine-floor", "chain": k, "seed": 0,
             "median_ess": kappa_l, "acceptance": floor.value,
             "wall_time": 0.0, "ess_per_dim": "",
-            "status": "pass" if kappa_l >= floor.value - 1e-6 else "fail",
+            "status": "pass" if kappa_l >= floor.value * (1 - 1e-8) else "fail",
         })
         result.bound_rows.append(floor)
     return result
@@ -695,7 +693,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return runners[config.experiment](config)
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
+def _config_fields(data: dict) -> dict:
+    """The ExperimentConfig fields of a JSON config, after key and schema checks."""
+    if not isinstance(data, dict):
+        raise PrecondError("a config must be a JSON object")
     if "schema_version" in data and int(data["schema_version"]) != SCHEMA_VERSION:
         raise PrecondError(
             f"unsupported config schema version {data['schema_version']}"
@@ -711,22 +712,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key in ("dims", "n_multipliers", "mu_list"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
-    return ExperimentConfig(**kwargs)
+    return kwargs
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    fields = _config_fields(data)
+    if "experiment" not in fields:
+        raise PrecondError("a config without a preset must name its experiment")
+    return ExperimentConfig(**fields)
 
 
 def load_config(path: str, preset: Optional[str] = None) -> ExperimentConfig:
-    if preset is not None:
-        if preset not in PRESETS:
-            raise PrecondError(
-                f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
-            )
-        cfg = PRESETS[preset]
-        if path:
-            data = json.loads(Path(path).read_text())
-            cfg = replace(cfg, **{
-                k: (tuple(v) if k in ("dims", "n_multipliers", "mu_list") else v)
-                for k, v in data.items() if k != "schema_version"
-            })
-        return cfg
-    data = json.loads(Path(path).read_text())
-    return config_from_dict(data)
+    """A config from a JSON file, or a preset with the file's fields overriding it."""
+    if preset is None:
+        return config_from_dict(json.loads(Path(path).read_text()))
+    if preset not in PRESETS:
+        raise PrecondError(
+            f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
+        )
+    data = json.loads(Path(path).read_text()) if path else {}
+    return replace(PRESETS[preset], **_config_fields(data))

@@ -50,7 +50,13 @@ class Preconditioner:
 
     @property
     def inv(self) -> np.ndarray:
-        return linalg.sym_inv(self.l)
+        """L^{-1}, computed on first use and shared read-only from then on."""
+        inv = self.__dict__.get("_inv")
+        if inv is None:
+            inv = linalg.sym_inv(self.l)
+            inv.flags.writeable = False
+            object.__setattr__(self, "_inv", inv)
+        return inv
 
     def llt(self) -> np.ndarray:
         return self.l @ self.l

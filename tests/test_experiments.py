@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from precond import cli, experiments, preconditioners
-from precond.errors import ModelFileError, PrecondError
+from precond.errors import DefinitenessError, ModelFileError, PrecondError
 from precond.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -77,11 +78,7 @@ def test_counterproductive_rows_and_determinism():
     summary = a.bound_rows[0]
     assert round(summary.inputs["kappa"], -2) == 4400.0
     assert round(summary.value, -2) == 8100.0  # diagonal arm kappa_L
-    assert summary.extras["kappa_dense"] == pytest.approx(4400.0, rel=0.01) or (
-        summary.extras["kappa_dense"] == pytest.approx(
-            summary.inputs["kappa"], rel=1e-9
-        )
-    )
+    assert summary.extras["kappa_dense"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_csv_roundtrip_lossless():
@@ -199,6 +196,73 @@ def test_verify_bounds_csv_roundtrip():
         assert got["median_ess"] == row["median_ess"]
         assert got["acceptance"] == row["acceptance"]
     assert result_to_csv(back) == text
+
+
+def test_counterproductive_kappa_dense_is_whitened(tmp_path):
+    # dense whitening of a Gaussian leaves kappa_L = 1
+    _, json_path = save_result(run_experiment(TINY), str(tmp_path))
+    (summary,) = json.loads(json_path.read_text())
+    assert summary["extras"]["kappa_dense"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_verify_bounds_cosine_floor_tolerance_is_relative():
+    # kappa_L about 2.9e6 meets its floor to within 5e-11 relative
+    cfg = ExperimentConfig(
+        experiment="verify-bounds", master_seed=47,
+        extra={"n_instances": 0, "n_preconditioners": 5},
+    )
+    row = run_experiment(cfg).rows[2]
+    assert row["arm"] == "cosine-floor"
+    assert row["median_ess"] == pytest.approx(row["acceptance"], rel=1e-9)
+    assert row["status"] == "pass"
+
+
+BINOMIAL_TINY = ExperimentConfig(
+    experiment="binomial", dims=(2,), mu_list=(0.0,),
+    chains_per_cell=3, burn_in=200, measure=200, master_seed=21,
+    extra={"short_estimate": 400, "long_estimate": 800},
+)
+BINOMIAL_ARMS = [
+    "covariance-short", "covariance-long", "fisher-short", "fisher-long",
+    "mode", "none", "design",
+]
+
+
+def test_binomial_cell_runs_as_one_batch_and_splits_alike(monkeypatch):
+    whole = run_experiment(BINOMIAL_TINY).rows
+    assert [(r["arm"], r["chain"]) for r in whole] == [
+        (arm, chain) for arm in BINOMIAL_ARMS for chain in range(3)
+    ]
+    assert len({r["wall_time"] for r in whole}) == 1  # one batch for the cell
+    per_chain = 8 * 200 * 2
+    for chains_per_batch in (1, 3):
+        monkeypatch.setattr(experiments, "BATCH_STATE_BYTES", chains_per_batch * per_chain)
+        rows = run_experiment(BINOMIAL_TINY).rows
+        assert len(rows) == len(whole)
+        for got, want in zip(rows, whole):
+            for col in ("arm", "chain", "seed", "status", "acceptance"):
+                assert got[col] == want[col]
+            assert got["median_ess"] == pytest.approx(want["median_ess"], rel=1e-12)
+
+
+def test_binomial_failed_arms_keep_their_rows(monkeypatch):
+    def no_fisher(gradients, label="fisher"):
+        raise DefinitenessError("rank deficient", offending_eigenvalue=0.0)
+
+    monkeypatch.setattr(preconditioners, "fisher_preconditioner", no_fisher)
+    rows = run_experiment(BINOMIAL_TINY).rows
+    assert [(r["arm"], r["chain"]) for r in rows] == [
+        (arm, chain) for arm in BINOMIAL_ARMS for chain in range(3)
+    ]
+    for arm_idx, arm in enumerate(BINOMIAL_ARMS):
+        for chain in range(3):
+            row = rows[3 * arm_idx + chain]
+            assert row["seed"] == derive_seed(21, 2, 0, 0, arm_idx, chain)
+            if arm.startswith("fisher"):
+                assert row["status"] == "failed" and math.isnan(row["median_ess"])
+            else:
+                assert row["status"] in ("ok", "stuck")
+                assert math.isfinite(row["median_ess"])
 
 
 # -- model files ---------------------------------------------------------------
@@ -321,6 +385,29 @@ def test_cli_experiment_bad_preset(capsys):
 def test_cli_experiment_requires_config_or_preset(capsys):
     code = cli.main(["experiment"])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("override", [{"bogus": 1}, {"schema_version": 99}, [1]])
+def test_cli_preset_override_is_validated(tmp_path, capsys, override):
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
+    code = cli.main(["experiment", "--preset", "paper-4.1-small", "--config", cfg_path,
+                     "--out", str(tmp_path / "res")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_config_without_preset_needs_experiment(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"dims": [2]}))
+    assert cli.main(["experiment", "--config", cfg_path]) == cli.EXIT_CONFIG
+    assert "experiment" in capsys.readouterr().err
+
+
+def test_preset_override_replaces_fields(tmp_path):
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(
+        {"schema_version": experiments.SCHEMA_VERSION, "dims": [2], "measure": 100}))
+    cfg = experiments.load_config(cfg_path, preset="paper-4.3-small")
+    assert cfg == replace(PRESETS["paper-4.3-small"], dims=(2,), measure=100)
 
 
 def test_cli_verify_bounds(tmp_path, capsys):

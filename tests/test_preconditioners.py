@@ -196,3 +196,13 @@ def test_sigma_sq_descending_and_eigengap():
     p = preconditioners.from_matrix(np.diag([3.0, 1.0, 0.5]))
     assert np.allclose(p.sigma_sq, [9.0, 1.0, 0.25])
     assert p.eigengap == pytest.approx(0.75)
+
+
+def test_inverse_is_computed_once_and_read_only():
+    p = preconditioners.from_matrix(random_spd(np.random.default_rng(3), 4))
+    first = p.inv
+    assert p.inv is first
+    assert not first.flags.writeable
+    assert np.array_equal(first, linalg.sym_inv(p.l))
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
