@@ -6,7 +6,6 @@ preconditioned RWM/MALA samplers, ESS diagnostics, and an experiment harness.
 
 from .conditioning import (
     BoundReport,
-    EigenStructureParams,
     KappaEstimate,
     bound_thm1,
     bound_thm2,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiments, preconditioners
@@ -61,12 +63,8 @@ def _resolve_config(args) -> experiments.ExperimentConfig:
         raise PrecondError("either --config or --preset is required")
     cfg = experiments.load_config(args.config, preset=preset)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, master_seed=args.seed)
     if args.out:
-        from dataclasses import replace
-
         cfg = replace(cfg, output_dir=args.out)
     return cfg
 
@@ -98,8 +96,6 @@ def _cmd_analyze(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        import json
-
         (out / "analyze_bounds.json").write_text(
             json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
             + "\n"
@@ -108,7 +104,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    """Run ``experiment``, or ``verify-bounds`` on any preset or config."""
     cfg = _resolve_config(args)
+    if args.command == "verify-bounds":
+        cfg = replace(cfg, experiment="verify-bounds")
     result = experiments.run_experiment(cfg)
     csv_path, json_path = experiments.save_result(result, cfg.output_dir)
     n_fail = sum(1 for row in result.rows if row.get("status") == "fail")
@@ -124,17 +123,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)
-        if args.command == "verify-bounds":
-            from dataclasses import replace
-
-            cfg = _resolve_config(args)
-            cfg = replace(cfg, experiment="verify-bounds")
-            result = experiments.run_verify_bounds(cfg)
-            csv_path, json_path = experiments.save_result(result, cfg.output_dir)
-            n_fail = sum(1 for row in result.rows if row.get("status") == "fail")
-            print(f"wrote {csv_path} ({len(result.rows)} rows) and {json_path}")
-            print(f"bound violations: {n_fail}")
-            return EXIT_OK
         return _cmd_experiment(args)
     except AssumptionViolationError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)

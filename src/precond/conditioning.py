@@ -32,22 +32,6 @@ from .targets import DifferentiableTarget, MultiplicativeStructure
 RWM_GAP_CONSTANT = 1.972e-4
 
 
-@dataclass(frozen=True)
-class EigenStructureParams:
-    """Measured assumption constants for a (target, preconditioner) pair."""
-
-    epsilon: float   # eigenvalue-ratio slack, or operator-norm slack
-    delta: float     # eigenvector misalignment, in [0, 1]
-    gamma: float     # eigengap of LL^T
-
-    def __post_init__(self):
-        if self.epsilon < 0 or self.gamma < 0 or not 0 <= self.delta <= 1:
-            raise PrecondError(
-                f"invalid constants eps={self.epsilon}, delta={self.delta}, "
-                f"gamma={self.gamma}"
-            )
-
-
 @dataclass
 class BoundReport:
     """A certified bound together with the constants that produced it."""
@@ -94,12 +78,22 @@ class KappaEstimate:
         return self.provenance == "closed-form"
 
 
-def _check_convex_at(target: DifferentiableTarget, x: np.ndarray) -> np.ndarray:
-    h = target.hessian(x)
-    vals = np.linalg.eigvalsh(0.5 * (h + h.T))
-    if vals[0] <= 0:
+def _symmetrised(h: np.ndarray) -> np.ndarray:
+    """0.5 (H + H^T) of a matrix, or of each matrix in a (..., d, d) stack."""
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
+def _convex_eigvalsh(h_sym: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (..., d, d) stack of symmetric Hessians.
+
+    Raises at the first matrix with a nonpositive eigenvalue.
+    """
+    vals = np.linalg.eigvalsh(h_sym)
+    lowest = vals[..., 0].reshape(-1)
+    bad = np.flatnonzero(lowest <= 0)
+    if bad.size:
         raise AssumptionViolationError(
-            f"Hessian has nonpositive eigenvalue {vals[0]:.3e} at a probe; "
+            f"Hessian has nonpositive eigenvalue {lowest[bad[0]]:.3e} at a probe; "
             "target is not strongly log-concave there"
         )
     return vals
@@ -126,7 +120,7 @@ def _multistart_extremes(
     center = target.exact_mode if target.exact_mode is not None else np.zeros(d)
     for _ in range(n_starts):
         x0 = center + 2.0 * rng.standard_normal(d)
-        _check_convex_at(target, x0)
+        _convex_eigvalsh(_symmetrised(target.hessian(x0)))
         res_hi = minimize(
             lambda x: -transformed_eigs(x)[-1], x0,
             method="Nelder-Mead", options={"maxiter": 400, "xatol": 1e-7, "fatol": 1e-10},
@@ -169,8 +163,8 @@ def _cosine_kappa_after(
 
     The Hessian family is the full box of diagonal matrices diag{a, b} with
     a, b in [m, M]; lambda_1 is convex and lambda_d concave over that box, so
-    the extremes sit at corners. A grid sweep over the state space certifies
-    the corner values.
+    the extremes sit at corners. A grid sweep over the state space, solved as
+    one (64 * 64, 2, 2) stack, certifies the corner values.
     """
     m, big_m = target.params["m"], target.params["M"]
     corner_max = -np.inf
@@ -182,13 +176,12 @@ def _cosine_kappa_after(
             corner_min = min(corner_min, vals[0])
     ts = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     f = -0.5 * (m - big_m) * np.cos(ts) + 0.5 * (big_m + m)
-    grid_max = -np.inf
-    grid_min = np.inf
-    for fa in f:
-        for fb in f:
-            vals = np.linalg.eigvalsh(linv @ np.diag([fa, fb]) @ linv)
-            grid_max = max(grid_max, vals[-1])
-            grid_min = min(grid_min, vals[0])
+    grid = np.zeros((f.size, f.size, 2, 2))
+    grid[..., 0, 0] = f[:, None]
+    grid[..., 1, 1] = f[None, :]
+    vals = np.linalg.eigvalsh(linv @ grid.reshape(-1, 2, 2) @ linv)
+    grid_max = vals[:, -1].max()
+    grid_min = vals[:, 0].min()
     tol = 1e-6 * max(abs(corner_max), 1.0)
     if grid_max > corner_max + tol or grid_min < corner_min - tol:
         raise PrecondError(
@@ -243,6 +236,24 @@ def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundR
 
 
 # -- assumption constant measurement ----------------------------------------
+#
+# Each measurement stacks the probe Hessians into one (P, d, d) array and runs
+# one eigen-solve over the stack; the per-matrix results equal those of
+# solving each probe Hessian on its own, bit for bit.
+
+# Floats per stack of pair differences in measure_eps_hessian_variation
+# (8 MiB); larger probe sets are processed in chunks of pairs.
+PAIR_CHUNK_FLOATS = 1 << 20
+
+
+def _hessian_stack(
+    target: DifferentiableTarget, probes: Sequence[np.ndarray]
+) -> np.ndarray:
+    """(P, d, d) stack of the target's Hessians at the probes."""
+    if len(probes) == 0:
+        raise PrecondError("probe set is empty")
+    return np.stack([target.hessian(np.asarray(x, dtype=float)) for x in probes])
+
 
 def measure_eps_eigenvalue(
     target: DifferentiableTarget,
@@ -250,15 +261,13 @@ def measure_eps_eigenvalue(
     probes: Sequence[np.ndarray],
 ) -> float:
     """Smallest eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps on probes."""
-    if len(probes) == 0:
-        raise PrecondError("probe set is empty")
-    sig = precond.sigma_sq
-    eps = 0.0
-    for x in probes:
-        vals = _check_convex_at(target, np.asarray(x, dtype=float))[::-1]  # descending
-        ratio = vals / sig
-        eps = max(eps, float(ratio.max() - 1.0), float(1.0 / ratio.min() - 1.0))
-    return eps
+    h = linalg.check_symmetric(_symmetrised(_hessian_stack(target, probes)))
+    ratio = _convex_eigvalsh(h)[:, ::-1] / precond.sigma_sq  # descending
+    return max(
+        0.0,
+        float((ratio.max(axis=1) - 1.0).max()),
+        float((1.0 / ratio.min(axis=1) - 1.0).max()),
+    )
 
 
 def measure_delta_eigenvector(
@@ -269,23 +278,26 @@ def measure_delta_eigenvector(
     """Smallest delta with v_i(x)^T v_i >= 1 - (1 - sqrt(1-delta))^2 on probes.
 
     Eigenvectors of each probe Hessian are paired with those of LL^T by
-    maximal absolute inner product (Hungarian assignment). Near-degenerate
-    probe spectra make the pairing ambiguous and raise instead of guessing.
+    maximal absolute inner product (Hungarian assignment, one probe at a
+    time). Near-degenerate probe spectra make the pairing ambiguous and raise
+    instead of guessing.
     """
-    if len(probes) == 0:
-        raise PrecondError("probe set is empty")
-    v_l = precond.eigs.vectors
-    worst = 1.0
-    for x in probes:
-        h = target.hessian(np.asarray(x, dtype=float))
-        eig = linalg.sym_eigen(0.5 * (h + h.T))
-        gaps = -np.diff(eig.values)
-        if eig.dim > 1 and gaps.min() < 1e-10 * max(abs(eig.values[0]), 1.0):
+    h = linalg.check_symmetric(_symmetrised(_hessian_stack(target, probes)))
+    values, vectors = np.linalg.eigh(h)  # ascending
+    # columns in descending order of eigenvalue, as linalg.sym_eigen gives them
+    vectors = np.ascontiguousarray(vectors[:, :, ::-1])
+    if values.shape[1] > 1:
+        gaps = np.diff(values, axis=1).min(axis=1)
+        bad = np.flatnonzero(gaps < 1e-10 * np.maximum(np.abs(values[:, -1]), 1.0))
+        if bad.size:
             raise DegeneratePairingError(
-                f"probe Hessian eigengap {gaps.min():.3e} is too small to pair "
+                f"probe Hessian eigengap {gaps[bad[0]]:.3e} is too small to pair "
                 "eigenvectors unambiguously"
             )
-        overlap = np.abs(eig.vectors.T @ v_l)
+    v_l = precond.eigs.vectors
+    worst = 1.0
+    for vecs in vectors:
+        overlap = np.abs(vecs.T @ v_l)
         rows, cols = linear_sum_assignment(-overlap)
         worst = min(worst, float(overlap[rows, cols].min()))
     worst = min(max(worst, 0.0), 1.0)
@@ -300,28 +312,24 @@ def measure_eps_norm(
     probes: Sequence[np.ndarray],
 ) -> float:
     """Smallest eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps on probes."""
-    if len(probes) == 0:
-        raise PrecondError("probe set is empty")
-    llt = precond.llt()
-    sig_d2 = precond.sigma_sq[-1]
-    eps = 0.0
-    for x in probes:
-        h = target.hessian(np.asarray(x, dtype=float))
-        eps = max(eps, linalg.spectral_norm(0.5 * (h + h.T) - llt) / sig_d2)
-    return float(eps)
+    h = _symmetrised(_hessian_stack(target, probes))
+    norms = linalg.spectral_norm(h - precond.llt())
+    return max(0.0, float((norms / precond.sigma_sq[-1]).max()))
 
 
 def measure_eps_hessian_variation(
     target: DifferentiableTarget, probes: Sequence[np.ndarray], m: float
 ) -> float:
     """Smallest eps with ||hessian(x) - hessian(y)|| <= m eps over probe pairs."""
-    hs = [np.asarray(target.hessian(np.asarray(x, dtype=float))) for x in probes]
+    hs = _hessian_stack(target, probes)
+    i, j = np.triu_indices(hs.shape[0], 1)
+    chunk = max(1, PAIR_CHUNK_FLOATS // hs[0].size)
     eps = 0.0
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            diff = hs[i] - hs[j]
-            eps = max(eps, linalg.spectral_norm(0.5 * (diff + diff.T)) / m)
-    return float(eps)
+    for start in range(0, i.size, chunk):
+        diff = hs[i[start:start + chunk]] - hs[j[start:start + chunk]]
+        norms = linalg.spectral_norm(_symmetrised(diff))
+        eps = max(eps, float((norms / m).max()))
+    return eps
 
 
 def default_probes(

@@ -11,6 +11,9 @@ import numpy as np
 from .errors import PrecondError
 from .samplers import Trace
 
+# Shortest series whose effective sample size is computed.
+MIN_ESS_POINTS = 100
+
 
 def _demean(series: np.ndarray) -> np.ndarray:
     series = np.asarray(series, dtype=float)
@@ -51,8 +54,8 @@ def ess(series: np.ndarray, k_max: int | None = None) -> float:
     """
     x = _demean(series)
     n = x.shape[0]
-    if n < 100:
-        raise PrecondError(f"need at least 100 points for ESS, got {n}")
+    if n < MIN_ESS_POINTS:
+        raise PrecondError(f"need at least {MIN_ESS_POINTS} points for ESS, got {n}")
     if float(x @ x) == 0.0:
         raise PrecondError("series has zero variance")
     if k_max is None:

@@ -693,22 +693,51 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return runners[config.experiment](config)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) or isinstance(x, float) for x in v)
+
+
+# The fields of a JSON config: the check each value must pass, and its wording.
+_CONFIG_FIELDS = {
+    "experiment": (lambda v: isinstance(v, str), "a string"),
+    "dims": (lambda v: isinstance(v, list) and all(_is_int(x) and x > 0 for x in v),
+             "a list of positive integers"),
+    "n_multipliers": (_is_number_list, "a list of numbers"),
+    "mu_list": (_is_number_list, "a list of numbers"),
+    "chains_per_cell": (_is_int, "an integer"),
+    "burn_in": (_is_int, "an integer"),
+    "measure": (_is_int, "an integer"),
+    "master_seed": (_is_int, "an integer"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "extra": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
 def _config_fields(data: dict) -> dict:
-    """The ExperimentConfig fields of a JSON config, after key and schema checks."""
+    """The ExperimentConfig fields of a JSON config, after key, type and schema checks."""
     if not isinstance(data, dict):
         raise PrecondError("a config must be a JSON object")
-    if "schema_version" in data and int(data["schema_version"]) != SCHEMA_VERSION:
-        raise PrecondError(
-            f"unsupported config schema version {data['schema_version']}"
-        )
-    known = {
-        "experiment", "dims", "n_multipliers", "mu_list", "chains_per_cell",
-        "burn_in", "measure", "master_seed", "output_dir", "extra",
-    }
-    unknown = set(data) - known - {"schema_version"}
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if not (_is_int(version) and version == SCHEMA_VERSION):
+        raise PrecondError(f"unsupported config schema version {version!r}")
+    unknown = set(data) - set(_CONFIG_FIELDS) - {"schema_version"}
     if unknown:
         raise PrecondError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k in known}
+    kwargs = {k: v for k, v in data.items() if k in _CONFIG_FIELDS}
+    for key, value in kwargs.items():
+        check, want = _CONFIG_FIELDS[key]
+        if not check(value):
+            raise PrecondError(f"config field {key!r} must be {want}, got {value!r}")
+    # a shorter measurement has no ESS, and every row would read "stuck"
+    if kwargs.get("measure", diagnostics.MIN_ESS_POINTS) < diagnostics.MIN_ESS_POINTS:
+        raise PrecondError(
+            f"config field 'measure' must be at least {diagnostics.MIN_ESS_POINTS}, "
+            f"got {kwargs['measure']}"
+        )
     for key in ("dims", "n_multipliers", "mu_list"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])

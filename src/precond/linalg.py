@@ -27,15 +27,22 @@ DEFINITENESS_RTOL = 1e-12
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is a finite, square, exactly-symmetric 2-d array."""
+    """Validate that ``a`` is a finite, square, exactly-symmetric 2-d array.
+
+    A (..., d, d) stack is validated matrix by matrix, with the same
+    finiteness check and the same asymmetry tolerance as a single matrix.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteInputError(f"{name} contains non-finite entries")
-    if not np.array_equal(a, a.T):
+    a_t = np.swapaxes(a, -1, -2)
+    if not np.array_equal(a, a_t):
         # tolerate roundoff-level asymmetry from accumulated arithmetic
-        if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
+        asym = np.abs(a - a_t).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        if np.any(asym > 1e-12 * scale):
             raise DimensionMismatchError(f"{name} is not symmetric")
     return a
 
@@ -71,6 +78,8 @@ def sym_eigen(a: np.ndarray) -> EigenDecomposition:
     traces reproducible bit-for-bit per seed.
     """
     a = check_symmetric(a)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
     values, vectors = np.linalg.eigh(a)
     order = np.argsort(values)[::-1]
     values = values[order]
@@ -167,13 +176,19 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
     """True iff A <= B in the Loewner order, i.e. lambda_min(B - A) >= -tol."""
     a = check_symmetric(a, "A")
     b = check_symmetric(b, "B")
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"A must be square, got shape {a.shape}")
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     gap = np.linalg.eigvalsh(b - a)[0]
     return bool(gap >= -tol)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Operator 2-norm of a symmetric matrix."""
+def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+    """Operator 2-norm of a symmetric matrix, as a float.
+
+    For a (..., d, d) stack, the array of the norms of its matrices.
+    """
     a = check_symmetric(a)
-    return float(np.abs(np.linalg.eigvalsh(a)).max())
+    norms = np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
+    return float(norms) if a.ndim == 2 else norms

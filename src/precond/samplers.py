@@ -43,7 +43,6 @@ class ChainConfig:
     preconditioner: Preconditioner
     n_steps: int
     seed: int
-    xi: Optional[float] = None     # for the sigma^2 = xi/(Md) tuning
     adapt: Optional[AdaptConfig] = None
 
     def __post_init__(self):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from precond import conditioning, linalg, preconditioners, targets
 from precond.conditioning import RWM_GAP_CONSTANT
 from precond.errors import (
+    AssumptionViolationError,
     BoundInapplicableError,
     DegeneratePairingError,
+    NonFiniteInputError,
     PrecondError,
 )
 from precond.targets import DifferentiableTarget, MultiplicativeStructure
@@ -138,6 +141,193 @@ def test_norm_slack_controls_eigenvalue_deviation():
     for x in probes:
         vals = np.sort(np.linalg.eigvalsh(t.hessian(x)))[::-1]
         assert np.abs(vals - sig).max() <= sig[-1] * eps_norm + 1e-12
+
+
+# -- stacked measurements against per-probe loops --------------------------------
+#
+# The references below solve one probe (or one probe pair, or one grid point)
+# at a time; the stacked measurements must reproduce them exactly.
+
+def _ref_eps_eigenvalue(target, precond, probes):
+    sig = precond.sigma_sq
+    eps = 0.0
+    for x in probes:
+        h = target.hessian(np.asarray(x, dtype=float))
+        vals = np.linalg.eigvalsh(0.5 * (h + h.T))
+        if vals[0] <= 0:
+            raise AssumptionViolationError("nonpositive probe Hessian")
+        ratio = vals[::-1] / sig
+        eps = max(eps, float(ratio.max() - 1.0), float(1.0 / ratio.min() - 1.0))
+    return eps
+
+
+def _ref_delta_eigenvector(target, precond, probes):
+    v_l = precond.eigs.vectors
+    worst = 1.0
+    for x in probes:
+        h = target.hessian(np.asarray(x, dtype=float))
+        eig = linalg.sym_eigen(0.5 * (h + h.T))
+        gaps = -np.diff(eig.values)
+        if eig.dim > 1 and gaps.min() < 1e-10 * max(abs(eig.values[0]), 1.0):
+            raise DegeneratePairingError("degenerate probe Hessian")
+        overlap = np.abs(eig.vectors.T @ v_l)
+        rows, cols = linear_sum_assignment(-overlap)
+        worst = min(worst, float(overlap[rows, cols].min()))
+    worst = min(max(worst, 0.0), 1.0)
+    delta = 1.0 - (1.0 - math.sqrt(1.0 - worst)) ** 2
+    return float(min(max(delta, 0.0), 1.0))
+
+
+def _ref_eps_norm(target, precond, probes):
+    llt = precond.llt()
+    sig_d2 = precond.sigma_sq[-1]
+    eps = 0.0
+    for x in probes:
+        h = target.hessian(np.asarray(x, dtype=float))
+        eps = max(eps, linalg.spectral_norm(0.5 * (h + h.T) - llt) / sig_d2)
+    return float(eps)
+
+
+def _ref_eps_hessian_variation(target, probes, m):
+    hs = [np.asarray(target.hessian(np.asarray(x, dtype=float))) for x in probes]
+    eps = 0.0
+    for i in range(len(hs)):
+        for j in range(i + 1, len(hs)):
+            diff = hs[i] - hs[j]
+            eps = max(eps, linalg.spectral_norm(0.5 * (diff + diff.T)) / m)
+    return float(eps)
+
+
+def _ref_cosine_extremes(target, linv):
+    """Corner and grid extremes of the cosine target, one 2x2 solve at a time."""
+    m, big_m = target.params["m"], target.params["M"]
+    corner = [np.linalg.eigvalsh(linv @ np.diag([a, b]) @ linv)
+              for a in (m, big_m) for b in (m, big_m)]
+    ts = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    f = -0.5 * (m - big_m) * np.cos(ts) + 0.5 * (big_m + m)
+    grid = [np.linalg.eigvalsh(linv @ np.diag([fa, fb]) @ linv) for fa in f for fb in f]
+    return (max(v[-1] for v in corner), min(v[0] for v in corner),
+            max(v[-1] for v in grid), min(v[0] for v in grid))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecondError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["hyperbolic", "binomial"]),
+    d=st.integers(min_value=1, max_value=6),
+    n_probes=st.integers(min_value=1, max_value=24),
+    scale=st.sampled_from([0.1, 1.0, 5.0]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_stacked_measurements_equal_per_probe_loops(family, d, n_probes, scale, seed):
+    rng = np.random.default_rng(seed)
+    if family == "hyperbolic":
+        x_mat, y, lam = targets.synth_regression_data(d, 3 * d, seed)
+        t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+    else:
+        x_mat, y, w = targets.synth_binomial_data(d, 4 * d, 1.0, seed)
+        t = targets.binomial_gprior_target(x_mat, y, w, 0.01 / (4 * d))
+    p = preconditioners.from_matrix(random_spd(rng, d, spread=float(rng.uniform(0, 3))))
+    probes = scale * rng.standard_normal((n_probes, d))
+    m = float(rng.uniform(0.1, 2.0))
+    for got, want in (
+        (_outcome(conditioning.measure_eps_eigenvalue, t, p, probes),
+         _outcome(_ref_eps_eigenvalue, t, p, probes)),
+        (_outcome(conditioning.measure_delta_eigenvector, t, p, probes),
+         _outcome(_ref_delta_eigenvector, t, p, probes)),
+        (conditioning.measure_eps_norm(t, p, probes), _ref_eps_norm(t, p, probes)),
+        (conditioning.measure_eps_hessian_variation(t, probes, m),
+         _ref_eps_hessian_variation(t, probes, m)),
+    ):
+        assert got == want
+
+
+def test_hessian_variation_chunks_give_the_same_eps(monkeypatch):
+    x_mat, y, lam = targets.synth_regression_data(3, 12, 4)
+    t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+    probes = np.random.default_rng(4).standard_normal((30, 3))
+    want = _ref_eps_hessian_variation(t, probes, 0.7)
+    for floats in (9, 9 * 7, 1 << 20):  # 1 pair, 7 pairs, all 435 pairs per chunk
+        monkeypatch.setattr(conditioning, "PAIR_CHUNK_FLOATS", floats)
+        assert conditioning.measure_eps_hessian_variation(t, probes, 0.7) == want
+
+
+def test_cosine_kappa_after_equals_per_point_loop():
+    t = targets.cosine_hard_target(1.0, 4.0)
+    rng = np.random.default_rng(np.random.SeedSequence([47, 6]))
+    for _ in range(50):
+        raw = rng.standard_normal((2, 2)) + 0.5 * np.eye(2)
+        p = preconditioners.from_matrix(raw)
+        corner_max, corner_min, grid_max, grid_min = _ref_cosine_extremes(t, p.inv)
+        tol = 1e-6 * max(abs(corner_max), 1.0)
+        assert grid_max <= corner_max + tol and grid_min >= corner_min - tol
+        assert conditioning.kappa_after(t, p).value == float(corner_max / corner_min)
+
+
+def test_cosine_grid_contradiction_still_raises(monkeypatch):
+    t = targets.cosine_hard_target(1.0, 4.0)
+    p = preconditioners.from_matrix(random_spd(np.random.default_rng(3), 2))
+    real = np.linalg.eigvalsh
+
+    def inflated_grid(a):  # the grid is the only stacked solve
+        vals = real(a)
+        return 2.0 * vals if vals.ndim == 2 else vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", inflated_grid)
+    with pytest.raises(PrecondError, match="grid refinement contradicts"):
+        conditioning.kappa_after(t, p)
+
+
+def _diag_hessian_target(diag_at, dim=2):
+    """A target whose Hessian at x is diag(diag_at(x)); only Hessians are read."""
+    return DifferentiableTarget(
+        dim=dim,
+        potential=lambda x: 0.0,
+        gradient=lambda x: np.zeros(dim),
+        hessian=lambda x: np.diag(diag_at(x)),
+    )
+
+
+def test_measurements_raise_at_the_first_offending_probe():
+    p = preconditioners.from_matrix(np.diag([2.0, 1.0]))
+    t = _diag_hessian_target(lambda x: [3.0, x[0]])
+    probes = np.array([[1.0, 0.0], [-2.0, 0.0], [-3.0, 0.0]])
+    with pytest.raises(AssumptionViolationError, match="-2.000e[+]00"):
+        conditioning.measure_eps_eigenvalue(t, p, probes)
+    # eigengaps 1, 1e-12 and 0 at the three probes
+    t = _diag_hessian_target(lambda x: [1.0, 1.0 + x[0]])
+    probes = np.array([[1.0, 0.0], [1e-12, 0.0], [0.0, 0.0]])
+    with pytest.raises(DegeneratePairingError, match="1.000e-12"):
+        conditioning.measure_delta_eigenvector(t, p, probes)
+    # the gap tolerance scales with the largest eigenvalue: 5e-9 < 1e-10 * 100
+    t = _diag_hessian_target(lambda x: [100.0, 1.0 + 5e-9, 1.0], dim=3)
+    with pytest.raises(DegeneratePairingError, match="5.000e-09"):
+        conditioning.measure_delta_eigenvector(
+            t, preconditioners.identity_preconditioner(3), np.zeros((1, 3)))
+
+
+def test_measurements_reject_nonfinite_and_empty_probe_sets():
+    p = preconditioners.identity_preconditioner(2)
+    t = _diag_hessian_target(lambda x: [2.0, 1.0 / x[0] if x[0] else np.inf])
+    probes = np.array([[1.0, 0.0], [0.0, 0.0]])
+    measures = (
+        lambda probes: conditioning.measure_eps_eigenvalue(t, p, probes),
+        lambda probes: conditioning.measure_delta_eigenvector(t, p, probes),
+        lambda probes: conditioning.measure_eps_norm(t, p, probes),
+        lambda probes: conditioning.measure_eps_hessian_variation(t, probes, 1.0),
+    )
+    for measure in measures:
+        with pytest.raises(NonFiniteInputError):
+            measure(probes)
+        with pytest.raises(PrecondError, match="probe set is empty"):
+            measure(np.zeros((0, 2)))
+    assert conditioning.measure_eps_hessian_variation(t, probes[:1], 1.0) == 0.0
 
 
 # -- theorem bounds ------------------------------------------------------------

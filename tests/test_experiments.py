@@ -397,6 +397,39 @@ def test_cli_preset_override_is_validated(tmp_path, capsys, override):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"dims": 5}, {"chains_per_cell": "3"}, {"measure": 50},
+    {"dims": [2, 0]}, {"dims": [2.0]}, {"n_multipliers": [5, "x"]},
+    {"mu_list": [True]}, {"burn_in": True}, {"master_seed": 1.5},
+    {"extra": [1]}, {"experiment": 5}, {"output_dir": 3},
+])
+def test_cli_config_field_types_are_validated(tmp_path, capsys, override):
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
+    code = cli.main(["experiment", "--preset", "paper-4.1-small", "--config", cfg_path,
+                     "--out", str(tmp_path / "res")])
+    assert code == cli.EXIT_CONFIG
+    field_name = next(iter(override))
+    assert capsys.readouterr().err.startswith(f"error: config field {field_name!r}")
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("version", [1.9, "1", True, "x"])
+def test_config_schema_version_must_be_the_integer(version):
+    with pytest.raises(PrecondError, match="unsupported config schema version"):
+        config_from_dict({"experiment": "binomial", "schema_version": version})
+
+
+def test_cli_verify_bounds_runs_the_sweep_on_any_preset(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(
+        {"extra": {"n_instances": 1, "n_preconditioners": 2}}))
+    code = cli.main(["verify-bounds", "--preset", "paper-4.1-small", "--config",
+                     cfg_path, "--out", str(tmp_path / "vb")])
+    assert code == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "verify-bounds.csv (4 rows)" in out and "bound violations: 0" in out
+    assert (tmp_path / "vb" / "verify-bounds_bounds.json").exists()
+
+
 def test_cli_config_without_preset_needs_experiment(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({"dims": [2]}))
     assert cli.main(["experiment", "--config", cfg_path]) == cli.EXIT_CONFIG

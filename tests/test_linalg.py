@@ -144,3 +144,41 @@ def test_loewner_leq():
 
 def test_spectral_norm():
     assert linalg.spectral_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
+
+
+def test_check_symmetric_and_spectral_norm_on_a_stack():
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_spd(rng, 4) - 3.0 * np.eye(4) for _ in range(7)])
+    stack[2, 0, 1] += 1e-14  # roundoff-level asymmetry, tolerated per matrix
+    assert np.array_equal(linalg.check_symmetric(stack), stack)
+    norms = linalg.spectral_norm(stack)
+    assert norms.tolist() == [linalg.spectral_norm(a) for a in stack]
+    assert linalg.spectral_norm(stack.reshape(7, 1, 4, 4)).shape == (7, 1)
+    assert isinstance(linalg.spectral_norm(stack[0]), float)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), NonFiniteInputError),
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), DimensionMismatchError),
+    # asymmetry 1e-10 is beyond the tolerance of this matrix's own scale, even
+    # though the largest entry of the stack would tolerate it
+    (np.array([[1.0, 1e-10], [0.0, 1.0]]), DimensionMismatchError),
+])
+def test_stack_with_one_bad_matrix_raises_like_that_matrix(bad, error):
+    stack = np.stack([np.eye(2), 1e6 * np.eye(2), bad, np.eye(2)])
+    for fn in (linalg.check_symmetric, linalg.spectral_norm):
+        with pytest.raises(error) as alone:
+            fn(bad)
+        with pytest.raises(error) as stacked:
+            fn(stack)
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_single_matrix_functions_reject_stacks():
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    with pytest.raises(DimensionMismatchError):
+        linalg.sym_eigen(stack)
+    with pytest.raises(DimensionMismatchError):
+        linalg.loewner_leq(stack, stack)
+    with pytest.raises(DimensionMismatchError):
+        linalg.check_symmetric(np.ones(3))
