@@ -239,7 +239,8 @@ def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundR
 #
 # Each measurement stacks the probe Hessians into one (P, d, d) array and runs
 # one eigen-solve over the stack; the per-matrix results equal those of
-# solving each probe Hessian on its own, bit for bit.
+# solving each probe Hessian on its own, bit for bit. The private helpers
+# take the stack itself, so that analyze evaluates the Hessians only once.
 
 # Floats per stack of pair differences in measure_eps_hessian_variation
 # (8 MiB); larger probe sets are processed in chunks of pairs.
@@ -255,13 +256,8 @@ def _hessian_stack(
     return np.stack([target.hessian(np.asarray(x, dtype=float)) for x in probes])
 
 
-def measure_eps_eigenvalue(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    probes: Sequence[np.ndarray],
-) -> float:
-    """Smallest eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps on probes."""
-    h = linalg.check_symmetric(_symmetrised(_hessian_stack(target, probes)))
+def _eps_eigenvalue(hs: np.ndarray, precond: Preconditioner) -> float:
+    h = linalg.check_symmetric(_symmetrised(hs))
     ratio = _convex_eigvalsh(h)[:, ::-1] / precond.sigma_sq  # descending
     return max(
         0.0,
@@ -270,19 +266,8 @@ def measure_eps_eigenvalue(
     )
 
 
-def measure_delta_eigenvector(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    probes: Sequence[np.ndarray],
-) -> float:
-    """Smallest delta with v_i(x)^T v_i >= 1 - (1 - sqrt(1-delta))^2 on probes.
-
-    Eigenvectors of each probe Hessian are paired with those of LL^T by
-    maximal absolute inner product (Hungarian assignment, one probe at a
-    time). Near-degenerate probe spectra make the pairing ambiguous and raise
-    instead of guessing.
-    """
-    h = linalg.check_symmetric(_symmetrised(_hessian_stack(target, probes)))
+def _delta_eigenvector(hs: np.ndarray, precond: Preconditioner) -> float:
+    h = linalg.check_symmetric(_symmetrised(hs))
     values, vectors = np.linalg.eigh(h)  # ascending
     # columns in descending order of eigenvalue, as linalg.sym_eigen gives them
     vectors = np.ascontiguousarray(vectors[:, :, ::-1])
@@ -306,22 +291,12 @@ def measure_delta_eigenvector(
     return float(min(max(delta, 0.0), 1.0))
 
 
-def measure_eps_norm(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    probes: Sequence[np.ndarray],
-) -> float:
-    """Smallest eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps on probes."""
-    h = _symmetrised(_hessian_stack(target, probes))
-    norms = linalg.spectral_norm(h - precond.llt())
+def _eps_norm(hs: np.ndarray, precond: Preconditioner) -> float:
+    norms = linalg.spectral_norm(_symmetrised(hs) - precond.llt())
     return max(0.0, float((norms / precond.sigma_sq[-1]).max()))
 
 
-def measure_eps_hessian_variation(
-    target: DifferentiableTarget, probes: Sequence[np.ndarray], m: float
-) -> float:
-    """Smallest eps with ||hessian(x) - hessian(y)|| <= m eps over probe pairs."""
-    hs = _hessian_stack(target, probes)
+def _eps_hessian_variation(hs: np.ndarray, m: float) -> float:
     i, j = np.triu_indices(hs.shape[0], 1)
     chunk = max(1, PAIR_CHUNK_FLOATS // hs[0].size)
     eps = 0.0
@@ -330,6 +305,46 @@ def measure_eps_hessian_variation(
         norms = linalg.spectral_norm(_symmetrised(diff))
         eps = max(eps, float((norms / m).max()))
     return eps
+
+
+def measure_eps_eigenvalue(
+    target: DifferentiableTarget,
+    precond: Preconditioner,
+    probes: Sequence[np.ndarray],
+) -> float:
+    """Smallest eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps on probes."""
+    return _eps_eigenvalue(_hessian_stack(target, probes), precond)
+
+
+def measure_delta_eigenvector(
+    target: DifferentiableTarget,
+    precond: Preconditioner,
+    probes: Sequence[np.ndarray],
+) -> float:
+    """Smallest delta with v_i(x)^T v_i >= 1 - (1 - sqrt(1-delta))^2 on probes.
+
+    Eigenvectors of each probe Hessian are paired with those of LL^T by
+    maximal absolute inner product (Hungarian assignment, one probe at a
+    time). Near-degenerate probe spectra make the pairing ambiguous and raise
+    instead of guessing.
+    """
+    return _delta_eigenvector(_hessian_stack(target, probes), precond)
+
+
+def measure_eps_norm(
+    target: DifferentiableTarget,
+    precond: Preconditioner,
+    probes: Sequence[np.ndarray],
+) -> float:
+    """Smallest eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps on probes."""
+    return _eps_norm(_hessian_stack(target, probes), precond)
+
+
+def measure_eps_hessian_variation(
+    target: DifferentiableTarget, probes: Sequence[np.ndarray], m: float
+) -> float:
+    """Smallest eps with ||hessian(x) - hessian(y)|| <= m eps over probe pairs."""
+    return _eps_hessian_variation(_hessian_stack(target, probes), m)
 
 
 def default_probes(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrecondError
+from .errors import PrecondError, ZeroVarianceError
 from .samplers import Trace
 
 # Shortest series whose effective sample size is computed.
@@ -32,7 +32,7 @@ def lag_autocorrelation(series: np.ndarray, k: int) -> float:
         raise PrecondError(f"lag {k} must satisfy 0 <= k < n/2 = {n / 2}")
     var = float(x @ x)
     if var == 0.0:
-        raise PrecondError("series has zero variance")
+        raise ZeroVarianceError("series has zero variance")
     return float(x[: n - k] @ x[k:] / var)
 
 
@@ -57,7 +57,7 @@ def ess(series: np.ndarray, k_max: int | None = None) -> float:
     if n < MIN_ESS_POINTS:
         raise PrecondError(f"need at least {MIN_ESS_POINTS} points for ESS, got {n}")
     if float(x @ x) == 0.0:
-        raise PrecondError("series has zero variance")
+        raise ZeroVarianceError("series has zero variance")
     if k_max is None:
         k_max = min(n // 2, 10_000)
     rho = _autocorr_fft(x, k_max)

@@ -37,6 +37,10 @@ class DegeneratePairingError(PrecondError):
     """Eigenvector pairing is ambiguous because of a near-degenerate spectrum."""
 
 
+class ZeroVarianceError(PrecondError):
+    """A series has zero variance, as a chain that never moved does."""
+
+
 class ModeSearchError(PrecondError):
     """Mode finding failed to converge within the iteration cap."""
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import conditioning, diagnostics, linalg, preconditioners, samplers, targets
-from .errors import DefinitenessError, ModelFileError, PrecondError
+from .errors import DefinitenessError, ModelFileError, PrecondError, ZeroVarianceError
 
 SCHEMA_VERSION = 1
 
@@ -182,7 +182,7 @@ def _measure_row(
         }
     try:
         report = diagnostics.ess_report(trace.states)
-    except PrecondError:
+    except ZeroVarianceError:
         # a fully stuck chain carries one effective sample per dimension
         return {
             "experiment": experiment, "d": d, "n": n, "mu": mu, "arm": arm,
@@ -203,7 +203,13 @@ def _measure_row(
 # -- experiment 1: counterproductive diagonal preconditioning ----------------
 
 def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
-    """RWM on the fixed 5-d Gaussian with dense, diagonal, and no preconditioning."""
+    """RWM on the fixed 5-d Gaussian with dense, diagonal, and no preconditioning.
+
+    Every chain of every arm runs in one lock-step batch, or in several of
+    near-equal size when their states exceed BATCH_STATE_BYTES; a batch may
+    hold chains of more than one arm. Rows stay in arm-major order, and each
+    row reports its batch's wall time divided by the batch size.
+    """
     sigma = SIGMA_PI
     d = sigma.shape[0]
     target = targets.gaussian_target(np.zeros(d), sigma)
@@ -224,30 +230,34 @@ def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
     )
     sqrt_sigma = linalg.sym_sqrt(sigma)
     sigma_step = 2.38 / math.sqrt(d)
-    for arm_idx, arm in enumerate(arms):
-        for batch in _batches(config.chains_per_cell, config.measure, d):
-            seeds = [derive_seed(config.master_seed, 0, arm_idx, chain) for chain in batch]
-            x0s = np.array([  # equilibrium starts
-                sqrt_sigma @ np.random.default_rng(np.random.SeedSequence([seed, 1]))
-                .standard_normal(d)
-                for seed in seeds
-            ])
-            cfgs = [
-                samplers.ChainConfig(
-                    kind="RWM", step_size=sigma_step, preconditioner=arm,
-                    n_steps=config.measure, seed=seed,
-                )
-                for seed in seeds
-            ]
-            t0 = time.perf_counter()
-            traces = samplers.run_chains(target, cfgs, x0s)
-            wall = (time.perf_counter() - t0) / len(batch)
-            result.rows += [
-                _measure_row("counterproductive", d, d, 0.0, arm.label, chain,
-                             seed, trace, wall)
-                for chain, seed, trace in zip(batch, seeds, traces)
-            ]
-            del traces  # free this batch's states before the next one
+    slots = [
+        (arm, chain, derive_seed(config.master_seed, 0, arm_idx, chain))
+        for arm_idx, arm in enumerate(arms)
+        for chain in range(config.chains_per_cell)
+    ]
+    for batch in _batches(len(slots), config.measure, d):
+        picked = [slots[j] for j in batch]
+        x0s = np.array([  # equilibrium starts
+            sqrt_sigma @ np.random.default_rng(np.random.SeedSequence([seed, 1]))
+            .standard_normal(d)
+            for _, _, seed in picked
+        ])
+        cfgs = [
+            samplers.ChainConfig(
+                kind="RWM", step_size=sigma_step, preconditioner=arm,
+                n_steps=config.measure, seed=seed,
+            )
+            for arm, _, seed in picked
+        ]
+        t0 = time.perf_counter()
+        traces = samplers.run_chains(target, cfgs, x0s)
+        wall = (time.perf_counter() - t0) / len(batch)
+        result.rows += [
+            _measure_row("counterproductive", d, d, 0.0, arm.label, chain,
+                         seed, trace, wall)
+            for (arm, chain, seed), trace in zip(picked, traces)
+        ]
+        del traces  # free this batch's states before the next one
     return result
 
 
@@ -651,11 +661,13 @@ def analyze(
     ))
     probes = conditioning.default_probes(target, precond, seed=seed,
                                          n_chain=64, n_local=64)
-    eps_eig = conditioning.measure_eps_eigenvalue(target, precond, probes)
-    eps_norm = conditioning.measure_eps_norm(target, precond, probes)
+    # one Hessian per probe, shared by every measured constant
+    hs = conditioning._hessian_stack(target, probes)
+    eps_eig = conditioning._eps_eigenvalue(hs, precond)
+    eps_norm = conditioning._eps_norm(hs, precond)
     sigmas = np.sqrt(precond.sigma_sq)
     try:
-        delta = conditioning.measure_delta_eigenvector(target, precond, probes)
+        delta = conditioning._delta_eigenvector(hs, precond)
         reports.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
     except PrecondError:
         pass
@@ -667,8 +679,7 @@ def analyze(
     m = target.envelope.m if target.envelope is not None else None
     if m is not None:
         reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), m))
-        eps_prime = conditioning.measure_eps_hessian_variation(
-            target, probes[:16], m)
+        eps_prime = conditioning._eps_hessian_variation(hs[:16], m)
         reports.append(conditioning.improved_gap_threshold(
             eps_prime, eps_norm, float(sigmas[0]), m, xi))
         reports.append(conditioning.rwm_gap_bounds(

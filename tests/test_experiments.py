@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from precond import cli, experiments, preconditioners
-from precond.errors import DefinitenessError, ModelFileError, PrecondError
+from precond import (
+    cli, conditioning, diagnostics, experiments, linalg, preconditioners, samplers, targets,
+)
+from precond.errors import DefinitenessError, ModelFileError, PrecondError, ZeroVarianceError
 from precond.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -486,3 +488,158 @@ def test_cli_seed_override_changes_rows(tmp_path):
     a = (tmp_path / "s1" / "counterproductive.csv").read_text()
     b = (tmp_path / "s2" / "counterproductive.csv").read_text()
     assert a != b
+
+
+# -- counterproductive cell batching --------------------------------------------
+
+def _counterproductive_per_arm(config):
+    """The counterproductive experiment with each arm's chains in a batch of their own."""
+    sigma = experiments.SIGMA_PI
+    d = sigma.shape[0]
+    target = targets.gaussian_target(np.zeros(d), sigma)
+    arms = [
+        preconditioners.identity_preconditioner(d, label="none"),
+        preconditioners.dense_covariance_preconditioner(sigma, label="dense"),
+        preconditioners.diag_covariance_preconditioner(sigma, label="diag"),
+    ]
+    sqrt_sigma = linalg.sym_sqrt(sigma)
+    rows = []
+    for arm_idx, arm in enumerate(arms):
+        chains = range(config.chains_per_cell)
+        seeds = [derive_seed(config.master_seed, 0, arm_idx, chain) for chain in chains]
+        x0s = np.array([
+            sqrt_sigma @ np.random.default_rng(np.random.SeedSequence([seed, 1]))
+            .standard_normal(d)
+            for seed in seeds
+        ])
+        cfgs = [
+            samplers.ChainConfig(kind="RWM", step_size=2.38 / math.sqrt(d),
+                                 preconditioner=arm, n_steps=config.measure, seed=seed)
+            for seed in seeds
+        ]
+        traces = samplers.run_chains(target, cfgs, x0s)
+        rows += [
+            experiments._measure_row("counterproductive", d, d, 0.0, arm.label,
+                                     chain, seed, trace, 0.0)
+            for chain, seed, trace in zip(chains, seeds, traces)
+        ]
+    return ExperimentResult("counterproductive", rows)
+
+
+@pytest.mark.parametrize("chains_per_cell, chains_per_batch", [(1, 2), (2, 4), (5, 4)])
+def test_counterproductive_cell_batches_match_per_arm_batches(
+        monkeypatch, chains_per_cell, chains_per_batch):
+    cfg = ExperimentConfig(experiment="counterproductive", dims=(5,),
+                           chains_per_cell=chains_per_cell, burn_in=0, measure=300,
+                           master_seed=19)
+    want = _strip_wall_time(_counterproductive_per_arm(cfg))
+    whole = run_experiment(cfg)
+    assert _strip_wall_time(whole) == want
+    assert len({row["wall_time"] for row in whole.rows}) == 1  # one batch for the cell
+    # batches of 2, 3 or 4 chains that straddle the arm boundaries
+    monkeypatch.setattr(experiments, "BATCH_STATE_BYTES", chains_per_batch * 8 * 300 * 5)
+    batches = experiments._batches(3 * chains_per_cell, 300, 5)
+    assert len(batches) > 1
+    assert any(b.start // chains_per_cell != (b.stop - 1) // chains_per_cell
+               for b in batches)
+    assert _strip_wall_time(run_experiment(cfg)) == want
+
+
+# -- stuck rows ------------------------------------------------------------------
+
+def _trace(states):
+    n, d = states.shape
+    cfg = samplers.ChainConfig(kind="RWM", step_size=1.0, n_steps=n, seed=0,
+                               preconditioner=preconditioners.identity_preconditioner(d))
+    return samplers.Trace(states=states, accepted=np.zeros(n, dtype=bool),
+                          log_potentials=np.zeros(n), config=cfg, x0=states[0],
+                          final_step_size=1.0)
+
+
+def test_measure_row_marks_only_zero_variance_stuck():
+    for flat in (lambda x: diagnostics.ess(x), lambda x: diagnostics.lag_autocorrelation(x, 1)):
+        with pytest.raises(ZeroVarianceError, match="zero variance"):
+            flat(np.zeros(200))
+    row = experiments._measure_row("counterproductive", 2, 2, 0.0, "none", 0, 1,
+                                   _trace(np.zeros((200, 2))), 0.5)
+    assert row["status"] == "stuck" and row["median_ess"] == 1.0
+    assert row["ess_per_dim"] == "1.0;1.0" and row["acceptance"] == 0.0
+    # a series too short for ESS is not a stuck chain
+    with pytest.raises(PrecondError, match="at least") as err:
+        experiments._measure_row("counterproductive", 2, 2, 0.0, "none", 0, 1,
+                                 _trace(np.arange(100.0).reshape(50, 2)), 0.5)
+    assert not isinstance(err.value, ZeroVarianceError)
+
+
+# -- analyze with one Hessian stack ----------------------------------------------
+
+def _analyze_from_public_measures(target, precond, seed=0, xi=1.0):
+    """analyze built from the public measure_* calls, each evaluating its own Hessians."""
+    reports = []
+    kappa = conditioning.condition_number(target)
+    kappa_l = conditioning.kappa_after(target, precond)
+    reports.append(conditioning.BoundReport(
+        kind="KappaSummary", value=kappa_l.value,
+        inputs={"kappa": kappa.value,
+                "kappa_provenance": kappa.provenance,
+                "kappa_l_provenance": kappa_l.provenance},
+        certified=kappa.exact and kappa_l.exact,
+    ))
+    probes = conditioning.default_probes(target, precond, seed=seed,
+                                         n_chain=64, n_local=64)
+    eps_eig = conditioning.measure_eps_eigenvalue(target, precond, probes)
+    eps_norm = conditioning.measure_eps_norm(target, precond, probes)
+    sigmas = np.sqrt(precond.sigma_sq)
+    try:
+        delta = conditioning.measure_delta_eigenvector(target, precond, probes)
+        reports.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
+    except PrecondError:
+        pass
+    try:
+        reports.append(conditioning.bound_thm2(
+            eps_norm, precond.eigengap, float(sigmas[-1]), sigmas))
+    except PrecondError:
+        pass
+    m = target.envelope.m if target.envelope is not None else None
+    if m is not None:
+        reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), m))
+        eps_prime = conditioning.measure_eps_hessian_variation(target, probes[:16], m)
+        reports.append(conditioning.improved_gap_threshold(
+            eps_prime, eps_norm, float(sigmas[0]), m, xi))
+        reports.append(conditioning.rwm_gap_bounds(
+            kappa.value, target.dim, xi, eps_prime, big_m=target.envelope.big_m))
+    if isinstance(target.structure, targets.MultiplicativeStructure):
+        reports.append(conditioning.mult_kappa_bounds(target))
+        reports.append(conditioning.mult_dalalyan(target))
+    if target.exact_covariance is not None:
+        reports.append(conditioning.diag_dominance_bound(target.exact_covariance))
+    return reports
+
+
+def _counting_hessian(target):
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return target.hessian(x)
+
+    return replace(target, hessian=hessian), calls
+
+
+def test_analyze_shares_one_hessian_stack():
+    x_mat, y, lam = targets.synth_regression_data(4, 20, 5)
+    hyperbolic = (targets.hyperbolic_regression_target(x_mat, y, 1.0, lam),
+                  preconditioners.additive_base_preconditioner(x_mat.T @ x_mat))
+    x_mat, y, w = targets.synth_binomial_data(3, 15, 1.0, 6)
+    binomial = (targets.binomial_gprior_target(x_mat, y, w,
+                                               experiments.BINOMIAL_LAMBDA / 15),
+                preconditioners.design_preconditioner(x_mat))
+    for target, precond in (hyperbolic, binomial):
+        shared, shared_calls = _counting_hessian(target)
+        public, public_calls = _counting_hessian(target)
+        got = experiments.analyze(shared, precond, seed=3)
+        want = _analyze_from_public_measures(public, precond, seed=3)
+        assert {"Thm3", "GapSandwich"} <= {r.kind for r in got}
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+        # 128 probes: three full stacks and the first 16 again become one stack
+        assert len(public_calls) - len(shared_calls) == 2 * 128 + 16
