@@ -36,42 +36,15 @@ def lag_autocorrelation(series: np.ndarray, k: int) -> float:
     return float(x[: n - k] @ x[k:] / var)
 
 
-def _autocorr_fft(x: np.ndarray, k_max: int) -> np.ndarray:
-    """Autocorrelations for lags 0..k_max via FFT, biased normalization."""
-    n = x.shape[0]
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[: k_max + 1]
-    return acov / acov[0]
-
-
-def ess(series: np.ndarray, k_max: int | None = None) -> float:
+def ess(series: np.ndarray) -> float:
     """Effective sample size with the initial-monotone-sequence truncation.
 
     Sums autocorrelations over pairs Gamma_m = rho_{2m} + rho_{2m+1} while
     the pair sums stay positive, enforcing monotone decrease, and returns
     n / (-1 + 2 * sum Gamma).
     """
-    x = _demean(series)
-    n = x.shape[0]
-    if n < MIN_ESS_POINTS:
-        raise PrecondError(f"need at least {MIN_ESS_POINTS} points for ESS, got {n}")
-    if float(x @ x) == 0.0:
-        raise ZeroVarianceError("series has zero variance")
-    if k_max is None:
-        k_max = min(n // 2, 10_000)
-    rho = _autocorr_fft(x, k_max)
-    tau = 0.0
-    prev = math.inf
-    for m in range(0, (k_max - 1) // 2 + 1):
-        gamma = rho[2 * m] + rho[2 * m + 1]
-        if gamma <= 0.0:
-            break
-        gamma = min(gamma, prev)  # enforce monotone decrease
-        prev = gamma
-        tau += gamma
-    iat = max(-1.0 + 2.0 * tau, 1e-12)
-    return float(n / iat)
+    column = np.asarray(series, dtype=float)[..., None]
+    return float(ess_report(column).per_dimension[0])
 
 
 @dataclass(frozen=True)
@@ -86,14 +59,47 @@ class EssReport:
 
 
 def ess_report(states: np.ndarray) -> EssReport:
-    """Per-dimension ESS of a (n, d) chain with its median."""
+    """Per-dimension ESS of a (n, d) chain with its median; see :func:`ess`.
+
+    The columns run as one batch, each bit for bit as on its own. Errors are
+    checked column by column (non-finite, too short, zero variance), and the
+    first failing column's error is raised.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    per_dim = np.array([ess(states[:, j]) for j in range(states.shape[1])])
-    return EssReport(
-        per_dimension=per_dim,
-        median=float(np.median(per_dim)),
-        n=states.shape[0],
-    )
+    if states.ndim != 2:
+        raise PrecondError("series must be one-dimensional")
+    n, d = states.shape
+    if d == 0:
+        raise PrecondError("per-dimension ESS is empty")
+    # contiguous rows, so each mean sums pairwise as a lone series's does
+    x = np.ascontiguousarray(states.T)
+    finite = np.isfinite(x).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        x = x - x.mean(axis=1, keepdims=True)
+    bad = ~finite | (n < MIN_ESS_POINTS) | (np.einsum("ij,ij->i", x, x) == 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not finite[j]:
+            raise PrecondError("series contains non-finite values")
+        if n < MIN_ESS_POINTS:
+            raise PrecondError(f"need at least {MIN_ESS_POINTS} points for ESS, got {n}")
+        raise ZeroVarianceError("series has zero variance")
+    k_max = min(n // 2, 10_000)
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, nfft, axis=1)
+    power = np.empty_like(f)
+    for j, r in enumerate(f):  # row by row: a 2-d product rounds differently
+        power[j] = r * np.conj(r)
+    acov = np.fft.irfft(power, nfft, axis=1)[:, : k_max + 1]
+    rho = acov / acov[:, :1]
+    pairs = (k_max - 1) // 2 + 1
+    gamma = rho[:, 0 : 2 * pairs : 2] + rho[:, 1 : 2 * pairs : 2]
+    kept = np.logical_and.accumulate(gamma > 0.0, axis=1)
+    monotone = np.minimum.accumulate(gamma, axis=1)
+    # cumsum adds in order, as the scalar recipe does; np.sum would not
+    tau = np.cumsum(np.where(kept, monotone, 0.0), axis=1)[:, -1]
+    per_dim = n / np.maximum(-1.0 + 2.0 * tau, 1e-12)
+    return EssReport(per_dimension=per_dim, median=float(np.median(per_dim)), n=n)
 
 
 def acceptance_rate(trace: Trace) -> float:

@@ -173,31 +173,24 @@ def _measure_row(
     experiment: str, d: int, n: int, mu: float, arm: str, chain: int, seed: int,
     trace: Optional[samplers.Trace], wall: float, status: str = "ok",
 ) -> dict:
-    if trace is None:
-        return {
-            "experiment": experiment, "d": d, "n": n, "mu": mu, "arm": arm,
-            "chain": chain, "seed": seed, "median_ess": math.nan,
-            "acceptance": math.nan, "wall_time": wall,
-            "ess_per_dim": "", "status": status,
-        }
-    try:
-        report = diagnostics.ess_report(trace.states)
-    except ZeroVarianceError:
-        # a fully stuck chain carries one effective sample per dimension
-        return {
-            "experiment": experiment, "d": d, "n": n, "mu": mu, "arm": arm,
-            "chain": chain, "seed": seed, "median_ess": 1.0,
-            "acceptance": diagnostics.acceptance_rate(trace), "wall_time": wall,
-            "ess_per_dim": ";".join(["1.0"] * trace.states.shape[1]),
-            "status": "stuck",
-        }
-    return {
+    row = {
         "experiment": experiment, "d": d, "n": n, "mu": mu, "arm": arm,
-        "chain": chain, "seed": seed, "median_ess": report.median,
-        "acceptance": diagnostics.acceptance_rate(trace), "wall_time": wall,
-        "ess_per_dim": ";".join(repr(float(v)) for v in report.per_dimension),
+        "chain": chain, "seed": seed, "median_ess": math.nan,
+        "acceptance": math.nan, "wall_time": wall, "ess_per_dim": "",
         "status": status,
     }
+    if trace is None:
+        return row
+    try:
+        report = diagnostics.ess_report(trace.states)
+        row.update(median_ess=report.median,
+                   ess_per_dim=";".join(repr(float(v)) for v in report.per_dimension))
+    except ZeroVarianceError:
+        # a fully stuck chain carries one effective sample per dimension
+        row.update(median_ess=1.0, status="stuck",
+                   ess_per_dim=";".join(["1.0"] * trace.states.shape[1]))
+    row["acceptance"] = diagnostics.acceptance_rate(trace)
+    return row
 
 
 # -- experiment 1: counterproductive diagonal preconditioning ----------------
@@ -472,6 +465,14 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
 
 # -- bound verification sweep -------------------------------------------------
 
+def _bound_row(d: int, n: int, arm: str, chain: int, seed: int,
+               value: float, bound: float, ok: bool) -> dict:
+    """A sweep row: the checked value as median_ess, its bound as acceptance."""
+    row = _measure_row("verify-bounds", d, n, 0.0, arm, chain, seed, None, 0.0,
+                       "pass" if ok else "fail")
+    return row | {"median_ess": value, "acceptance": bound}
+
+
 def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
     """Measured-constant soundness sweep across randomized instances."""
     result = ExperimentResult(experiment="verify-bounds")
@@ -494,14 +495,8 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
         rep3 = conditioning.bound_thm3(
             eps_norm, math.sqrt(precond.sigma_sq[0]), target.envelope.m
         )
-        row = {
-            "experiment": "verify-bounds", "d": d, "n": n, "mu": 0.0,
-            "arm": "hyperbolic-thm3", "chain": k, "seed": seed,
-            "median_ess": kappa_l, "acceptance": rep3.value,
-            "wall_time": 0.0, "ess_per_dim": "",
-            "status": "pass" if kappa_l <= rep3.value * (1 + 1e-8) else "fail",
-        }
-        result.rows.append(row)
+        result.rows.append(_bound_row(d, n, "hyperbolic-thm3", k, seed, kappa_l,
+                                      rep3.value, kappa_l <= rep3.value * (1 + 1e-8)))
         result.bound_rows.append(rep3)
 
     # binomial instances against the multiplicative-structure propositions
@@ -521,13 +516,8 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
             sandwich.lower <= kappa * (1 + 1e-8)
             and kappa_design <= dal.extras["corollary_value"] * (1 + 1e-6)
         )
-        result.rows.append({
-            "experiment": "verify-bounds", "d": d, "n": n, "mu": 0.0,
-            "arm": "binomial-mult", "chain": k, "seed": seed,
-            "median_ess": kappa_design, "acceptance": dal.extras["corollary_value"],
-            "wall_time": 0.0, "ess_per_dim": "",
-            "status": "pass" if ok else "fail",
-        })
+        result.rows.append(_bound_row(d, n, "binomial-mult", k, seed, kappa_design,
+                                      dal.extras["corollary_value"], ok))
         result.bound_rows += [sandwich, dal]
 
     # cosine hard target against the lower bound
@@ -540,13 +530,8 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
         precond = preconditioners.from_matrix(raw, label=f"random-{k}")
         kappa_l = conditioning.kappa_after(target, precond).value
         floor = conditioning.hard_target_lower(precond, 1.0, 4.0)
-        result.rows.append({
-            "experiment": "verify-bounds", "d": 2, "n": 0, "mu": 0.0,
-            "arm": "cosine-floor", "chain": k, "seed": 0,
-            "median_ess": kappa_l, "acceptance": floor.value,
-            "wall_time": 0.0, "ess_per_dim": "",
-            "status": "pass" if kappa_l >= floor.value * (1 - 1e-8) else "fail",
-        })
+        result.rows.append(_bound_row(2, 0, "cosine-floor", k, 0, kappa_l, floor.value,
+                                      kappa_l >= floor.value * (1 - 1e-8)))
         result.bound_rows.append(floor)
     return result
 

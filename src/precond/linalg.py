@@ -134,11 +134,15 @@ def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
     return (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.T
 
 
-def sym_inv(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via its spectrum."""
-    eig = sym_eigen(a)
+def spectral_inverse(eig: EigenDecomposition) -> np.ndarray:
+    """Inverse V diag(1/lambda) V^T of a positive-definite matrix from its spectrum."""
     _require_spd(eig, "sym_inv input")
     return (eig.vectors / eig.values) @ eig.vectors.T
+
+
+def sym_inv(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix via its spectrum."""
+    return spectral_inverse(sym_eigen(a))
 
 
 def symmetrize_preconditioner(l: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,15 +26,29 @@ from .targets import DifferentiableTarget, SmoothnessEnvelope
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """A symmetric positive-definite matrix L with its LL^T eigen-summary."""
+    """A symmetric positive-definite matrix L, read through its own spectrum.
+
+    One eigendecomposition L = V diag(s) V^T, made on first use, gives the
+    eigenvalues s^2 of LL^T, L^{-1} = V diag(1/s) V^T and the metric
+    (LL^T)^{-1} = L^{-1} L^{-1}, each computed once and shared read-only.
+    """
 
     l: np.ndarray
     label: str
-    eigs: linalg.EigenDecomposition  # of LL^T, so values are sigma_1^2 >= ...
 
     @property
     def dim(self) -> int:
         return self.l.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> linalg.EigenDecomposition:  # of L: s_1 >= ... >= s_d
+        return linalg.sym_eigen(self.l)
+
+    @cached_property
+    def eigs(self) -> linalg.EigenDecomposition:
+        """LL^T's eigenvalues sigma_1^2 >= ... with the eigenvectors of L."""
+        spec = self._spectrum
+        return linalg.EigenDecomposition(values=spec.values ** 2, vectors=spec.vectors)
 
     @property
     def sigma_sq(self) -> np.ndarray:
@@ -43,20 +58,25 @@ class Preconditioner:
     @property
     def eigengap(self) -> float:
         """Smallest gap between adjacent eigenvalues of LL^T."""
-        v = self.eigs.values
-        if v.shape[0] < 2:
-            return 0.0
-        return float(np.abs(np.diff(v)).min())
+        return float(np.abs(np.diff(self.sigma_sq)).min()) if self.dim > 1 else 0.0
+
+    @cached_property
+    def _inv(self) -> np.ndarray:
+        inv = linalg.spectral_inverse(self._spectrum)
+        inv.flags.writeable = False
+        return inv
 
     @property
     def inv(self) -> np.ndarray:
-        """L^{-1}, computed on first use and shared read-only from then on."""
-        inv = self.__dict__.get("_inv")
-        if inv is None:
-            inv = linalg.sym_inv(self.l)
-            inv.flags.writeable = False
-            object.__setattr__(self, "_inv", inv)
-        return inv
+        """L^{-1}; DefinitenessError when L is not positive definite."""
+        return self._inv
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """(LL^T)^{-1} = L^{-1} L^{-1}."""
+        metric = self._inv @ self._inv
+        metric.flags.writeable = False
+        return metric
 
     def llt(self) -> np.ndarray:
         return self.l @ self.l
@@ -65,16 +85,11 @@ class Preconditioner:
 def from_matrix(l: np.ndarray, label: str = "custom") -> Preconditioner:
     """Wrap an invertible matrix, symmetrizing it first."""
     sym = linalg.symmetrize_preconditioner(l)
-    return Preconditioner(l=sym, label=label, eigs=linalg.sym_eigen(sym @ sym))
+    return Preconditioner(l=sym, label=label)
 
 
 def identity_preconditioner(d: int, label: str = "identity") -> Preconditioner:
-    eye = np.eye(d)
-    return Preconditioner(
-        l=eye,
-        label=label,
-        eigs=linalg.EigenDecomposition(values=np.ones(d), vectors=np.eye(d)),
-    )
+    return Preconditioner(l=np.eye(d), label=label)
 
 
 def dense_covariance_preconditioner(
@@ -82,8 +97,7 @@ def dense_covariance_preconditioner(
 ) -> Preconditioner:
     """L = sigma_hat^{-1/2}; fails loudly on a non-SPD estimate."""
     sigma_hat = linalg.check_symmetric(sigma_hat, "sigma_hat")
-    l = linalg.sym_inv_sqrt(sigma_hat)
-    return Preconditioner(l=l, label=label, eigs=linalg.sym_eigen(l @ l))
+    return Preconditioner(l=linalg.sym_inv_sqrt(sigma_hat), label=label)
 
 
 def diag_covariance_preconditioner(
@@ -99,8 +113,7 @@ def diag_covariance_preconditioner(
             f"{diag[bad[0]]:.3e}, not positive",
             offending_eigenvalue=float(diag[bad[0]]),
         )
-    l = np.diag(1.0 / np.sqrt(diag))
-    return Preconditioner(l=l, label=label, eigs=linalg.sym_eigen(l @ l))
+    return Preconditioner(l=np.diag(1.0 / np.sqrt(diag)), label=label)
 
 
 def fisher_preconditioner(
@@ -119,7 +132,7 @@ def fisher_preconditioner(
             f"gradient second moment is rank deficient: {exc}",
             offending_eigenvalue=exc.offending_eigenvalue,
         ) from exc
-    return Preconditioner(l=l, label=label, eigs=linalg.sym_eigen(l @ l))
+    return Preconditioner(l=l, label=label)
 
 
 def hessian_at_mode_preconditioner(
@@ -127,8 +140,7 @@ def hessian_at_mode_preconditioner(
 ) -> Preconditioner:
     """L = hessian(x_star)^{1/2}."""
     h = linalg.check_symmetric(target.hessian(np.asarray(x_star, dtype=float)))
-    l = linalg.sym_sqrt(h)
-    return Preconditioner(l=l, label=label, eigs=linalg.sym_eigen(l @ l))
+    return Preconditioner(l=linalg.sym_sqrt(h), label=label)
 
 
 def design_preconditioner(
@@ -144,16 +156,14 @@ def design_preconditioner(
     xtx = x_mat.T @ x_mat
     if scaled:
         xtx = xtx / n
-    l = linalg.sym_sqrt(xtx)
-    return Preconditioner(l=l, label=label, eigs=linalg.sym_eigen(l @ l))
+    return Preconditioner(l=linalg.sym_sqrt(xtx), label=label)
 
 
 def additive_base_preconditioner(
     a: np.ndarray, label: str = "additive-base"
 ) -> Preconditioner:
     """L = A^{1/2} for a Hessian of the form A + B(x)."""
-    l = linalg.sym_sqrt(linalg.check_symmetric(a, "A"))
-    return Preconditioner(l=l, label=label, eigs=linalg.sym_eigen(l @ l))
+    return Preconditioner(l=linalg.sym_sqrt(linalg.check_symmetric(a, "A")), label=label)
 
 
 def sample_covariance(samples: np.ndarray) -> np.ndarray:
@@ -283,7 +293,7 @@ def from_csv(text: str) -> Preconditioner:
     # Already-symmetric positive-definite matrices pass through untouched so
     # that serialization round-trips byte for byte.
     if np.array_equal(arr, arr.T) and np.isfinite(arr).all():
-        vals = np.linalg.eigvalsh(arr)
-        if vals[0] > 0:
-            return Preconditioner(l=arr, label=label, eigs=linalg.sym_eigen(arr @ arr))
+        precond = Preconditioner(l=arr, label=label)
+        if precond._spectrum.values[-1] > 0:
+            return precond
     return from_matrix(arr, label=label)

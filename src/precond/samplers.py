@@ -146,7 +146,7 @@ def _mh_chain(
     potential, gradient = target.potential, target.gradient
     u0 = potential(x)
     if mala:
-        metric = linv @ linv  # (LL^T)^{-1} for symmetric L
+        metric = config.preconditioner.metric
         g0 = gradient(x)
         if not (math.isfinite(u0) and np.isfinite(g0).all()):
             raise NonFiniteInputError("potential or gradient not finite at initial state")
@@ -231,7 +231,7 @@ def _mh_lockstep(
     u0 = np.array(potential(x), dtype=float)
     finite = np.isfinite(u0)
     if mala:
-        metrics = linvs @ linvs  # (LL^T)^{-1} per chain, for symmetric L
+        metrics = np.stack([c.preconditioner.metric for c in configs])
         g0 = gradient(x)
         finite &= np.isfinite(g0).all(axis=1)
         drift0 = (metrics @ g0[:, :, None])[:, :, 0]
@@ -436,11 +436,7 @@ def find_mode(
     scale the current point is returned as the numerical optimum.
     """
     x = _init_state(target, x0)
-    if precond is not None:
-        linv = precond.inv
-        metric = linv @ linv  # (LL^T)^{-1} for symmetric L
-    else:
-        metric = np.eye(target.dim)
+    metric = precond.metric if precond is not None else np.eye(target.dim)
     u = target.potential(x)
     step = 1.0
     gnorm = math.inf

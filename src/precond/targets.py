@@ -47,7 +47,6 @@ class AdditiveStructure:
 
     base: np.ndarray                          # A, symmetric
     varying: Callable[[np.ndarray], np.ndarray]  # x -> B(x), symmetric
-    varying_norm_bound: Optional[float] = None   # sup_x ||B(x)||
 
 
 @dataclass(frozen=True)
@@ -243,9 +242,7 @@ def hyperbolic_regression_target(
             m_attained=False,   # infimum as ||beta|| -> infinity
             big_m_attained=True,  # at beta = 0
         ),
-        structure=AdditiveStructure(
-            base=a_mat, varying=varying, varying_norm_bound=lam
-        ),
+        structure=AdditiveStructure(base=a_mat, varying=varying),
         hessian_lower=a_mat,
         hessian_upper=a_mat + lam * np.eye(d),
         kind="hyperbolic",

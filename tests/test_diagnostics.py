@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from precond import diagnostics, preconditioners, samplers, targets
-from precond.errors import PrecondError
+from precond.errors import PrecondError, ZeroVarianceError
 from precond.samplers import ChainConfig
 
 
@@ -177,3 +180,69 @@ def test_ess_rows_csv_format():
     assert fields[:6] == ["run1", "dense", "3", "100", "0.0", "2"]
     assert float(fields[6]) == 20.0
     assert fields[7] == "1"
+
+
+def _reference_ess(series):
+    """The per-series ESS recipe with Geyer's pair loop, kept as a reference."""
+    x = series - series.mean()
+    n = x.shape[0]
+    k_max = min(n // 2, 10_000)
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[: k_max + 1]
+    rho = acov / acov[0]
+    tau, prev = 0.0, math.inf
+    for m in range((k_max - 1) // 2 + 1):
+        gamma = rho[2 * m] + rho[2 * m + 1]
+        if gamma <= 0.0:
+            break
+        gamma = min(gamma, prev)
+        prev = gamma
+        tau += gamma
+    return float(n / max(-1.0 + 2.0 * tau, 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["white", "ar1", "walk"]),
+    n=st.integers(100, 3000),
+    d=st.integers(1, 6),
+    rho=st.floats(-0.9, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ess_report_matches_per_series_reference_exactly(kind, n, d, rho, seed):
+    noise = np.random.default_rng(seed).standard_normal((n, d))
+    if kind == "ar1":
+        states = lfilter([1.0], [1.0, -rho], noise, axis=0)
+    elif kind == "walk":
+        states = np.cumsum(noise, axis=0)
+    else:
+        states = noise
+    report = diagnostics.ess_report(states)
+    reference = [_reference_ess(states[:, j]) for j in range(d)]
+    assert report.per_dimension.tolist() == reference
+    assert diagnostics.ess(states[:, 0]) == reference[0]
+
+
+def test_ess_report_first_failing_column_wins():
+    good = np.random.default_rng(14).standard_normal(500)
+    flat = np.ones(500)
+    bad = good.copy()
+    bad[3] = np.nan
+    with pytest.raises(ZeroVarianceError):
+        diagnostics.ess_report(np.column_stack([good, flat, bad]))
+    with pytest.raises(PrecondError, match="non-finite") as err:
+        diagnostics.ess_report(np.column_stack([good, bad, flat]))
+    assert not isinstance(err.value, ZeroVarianceError)
+    short = np.column_stack([good, bad])[:99]
+    with pytest.raises(PrecondError, match="at least 100"):
+        diagnostics.ess_report(short)
+    with pytest.raises(PrecondError, match="non-finite"):
+        diagnostics.ess_report(short[:, ::-1])
+
+
+def test_ess_rejects_non_series():
+    with pytest.raises(PrecondError, match="one-dimensional"):
+        diagnostics.ess(np.zeros((200, 2)))
+    with pytest.raises(PrecondError, match="empty"):
+        diagnostics.ess_report(np.zeros((200, 0)))

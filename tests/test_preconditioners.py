@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,68 @@ def test_inverse_is_computed_once_and_read_only():
     assert np.array_equal(first, linalg.sym_inv(p.l))
     with pytest.raises(ValueError):
         first[0, 0] = 1.0
+
+
+def _count_sym_eigen(monkeypatch):
+    calls = []
+    original = linalg.sym_eigen
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "sym_eigen", counted)
+    return calls
+
+
+def _read_everything(p):
+    return (p.eigs, p.sigma_sq, p.eigengap, p.inv, p.metric)
+
+
+def test_one_eigendecomposition_per_preconditioner(monkeypatch):
+    spd = random_spd(np.random.default_rng(12), 4)
+    calls = _count_sym_eigen(monkeypatch)
+    p = preconditioners.Preconditioner(l=spd, label="x")
+    _read_everything(p)
+    _read_everything(p)
+    assert len(calls) == 1
+    assert [f.name for f in dataclasses.fields(p)] == ["l", "label"]
+    s = np.linalg.eigvalsh(spd)[::-1]
+    assert np.allclose(p.sigma_sq, s**2, rtol=1e-12)
+    assert np.allclose(p.eigs.reconstruct(), spd @ spd, rtol=1e-12, atol=1e-12)
+
+
+def test_from_csv_decides_definiteness_from_the_same_decomposition(monkeypatch):
+    text = preconditioners.to_csv(
+        preconditioners.from_matrix(random_spd(np.random.default_rng(13), 3))
+    )
+    calls = _count_sym_eigen(monkeypatch)
+    eigvalsh_calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: eigvalsh_calls.append(a))
+    _read_everything(preconditioners.from_csv(text))
+    assert len(calls) == 1
+    assert eigvalsh_calls == []
+
+
+def test_metric_is_cached_read_only_inverse_square():
+    p = preconditioners.from_matrix(random_spd(np.random.default_rng(14), 4))
+    metric = p.metric
+    assert p.metric is metric
+    assert np.array_equal(metric, p.inv @ p.inv)
+    assert not metric.flags.writeable
+    with pytest.raises(ValueError):
+        metric[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.metric = np.eye(4)
+
+
+def test_inverse_of_indefinite_l_raises_definiteness_error():
+    p = preconditioners.Preconditioner(l=np.diag([2.0, -1.0]), label="x")
+    with pytest.raises(DefinitenessError):
+        p.inv
+    with pytest.raises(DefinitenessError):
+        p.metric
+    # an indefinite symmetric CSV is symmetrised instead of passed through
+    q = preconditioners.from_csv("x,2\n2.0,0.0\n0.0,-1.0\n")
+    assert np.allclose(q.l, np.diag([2.0, 1.0]))
