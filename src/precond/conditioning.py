@@ -1,7 +1,8 @@
 """Condition numbers before and after preconditioning, and every bound on them.
 
-Exact values are computed whenever the target exposes Loewner extremes of its
-Hessian family; otherwise multistart search produces one-sided estimates.
+Condition numbers are exact, from the Loewner extremes of the target's Hessian
+family; a target without them raises BoundInapplicableError, since a search
+over states could only under-state kappa.
 Assumption constants (epsilon, delta, gamma) are measured over probe sets and
 fed to the theorem bounds, which always hold in the sound direction: probes
 can only under-estimate a supremum, and the bounds are increasing in the
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
+from scipy.optimize import linear_sum_assignment
 
 from . import linalg
 from .errors import (
@@ -71,7 +72,7 @@ def _jsonable(v):
 @dataclass(frozen=True)
 class KappaEstimate:
     value: float
-    provenance: str  # "closed-form" or "estimated"
+    provenance: str  # "closed-form": every kappa is read from Hessian extremes
 
     @property
     def exact(self) -> bool:
@@ -99,49 +100,15 @@ def _convex_eigvalsh(h_sym: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _multistart_extremes(
-    target: DifferentiableTarget,
-    linv: Optional[np.ndarray],
-    n_starts: int,
-    seed: int,
-) -> tuple[float, float]:
-    """One-sided estimates of sup lambda_1 and inf lambda_d of the Hessian field."""
-    d = target.dim
-    rng = np.random.default_rng(seed)
-
-    def transformed_eigs(x):
-        h = target.hessian(np.asarray(x, dtype=float))
-        if linv is not None:
-            h = linv @ h @ linv
-        return np.linalg.eigvalsh(0.5 * (h + h.T))
-
-    best_max = -np.inf
-    best_min = np.inf
-    center = target.exact_mode if target.exact_mode is not None else np.zeros(d)
-    for _ in range(n_starts):
-        x0 = center + 2.0 * rng.standard_normal(d)
-        _convex_eigvalsh(_symmetrised(target.hessian(x0)))
-        res_hi = minimize(
-            lambda x: -transformed_eigs(x)[-1], x0,
-            method="Nelder-Mead", options={"maxiter": 400, "xatol": 1e-7, "fatol": 1e-10},
-        )
-        res_lo = minimize(
-            lambda x: transformed_eigs(x)[0], x0,
-            method="Nelder-Mead", options={"maxiter": 400, "xatol": 1e-7, "fatol": 1e-10},
-        )
-        best_max = max(best_max, -res_hi.fun)
-        best_min = min(best_min, res_lo.fun)
-    if best_min <= 0:
-        raise AssumptionViolationError(
-            f"estimated smallest Hessian eigenvalue {best_min:.3e} is nonpositive"
-        )
-    return best_max, best_min
+def _no_extremes(target: DifferentiableTarget) -> BoundInapplicableError:
+    return BoundInapplicableError(
+        f"target {target.kind!r} carries no Hessian envelopes, so its condition "
+        "number has no certified value"
+    )
 
 
-def condition_number(
-    target: DifferentiableTarget, n_starts: int = 32, seed: int = 0
-) -> KappaEstimate:
-    """kappa = sup ||hessian|| * sup ||hessian^{-1}||, closed form when possible."""
+def condition_number(target: DifferentiableTarget) -> KappaEstimate:
+    """kappa = sup ||hessian|| * sup ||hessian^{-1}||, from the Hessian envelopes."""
     if target.envelope is not None:
         return KappaEstimate(value=target.envelope.kappa, provenance="closed-form")
     if target.hessian_lower is not None and target.hessian_upper is not None:
@@ -152,8 +119,7 @@ def condition_number(
                 f"Hessian lower extreme is not positive definite ({lo:.3e})"
             )
         return KappaEstimate(value=float(hi / lo), provenance="closed-form")
-    hi, lo = _multistart_extremes(target, None, n_starts, seed)
-    return KappaEstimate(value=float(hi / lo), provenance="estimated")
+    raise _no_extremes(target)
 
 
 def _cosine_kappa_after(
@@ -192,12 +158,7 @@ def _cosine_kappa_after(
     return float(corner_max / corner_min)
 
 
-def kappa_after(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    n_starts: int = 32,
-    seed: int = 0,
-) -> KappaEstimate:
+def kappa_after(target: DifferentiableTarget, precond: Preconditioner) -> KappaEstimate:
     """kappa_L = sup ||L^{-1} hess L^{-1}|| * sup ||L hess^{-1} L||."""
     linv = precond.inv
     if target.kind == "cosine":
@@ -220,8 +181,7 @@ def kappa_after(
                 f"preconditioned Hessian lower extreme not positive ({lo:.3e})"
             )
         return KappaEstimate(value=float(hi / lo), provenance="closed-form")
-    hi, lo = _multistart_extremes(target, linv, n_starts, seed)
-    return KappaEstimate(value=float(hi / lo), provenance="estimated")
+    raise _no_extremes(target)
 
 
 def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundReport:
@@ -513,17 +473,25 @@ def mult_kappa_bounds(target: DifferentiableTarget) -> BoundReport:
 
 
 def mult_dalalyan(target: DifferentiableTarget) -> BoundReport:
-    """Sandwich on kappa_L for L = (X^T X)^{1/2}, with the C/c corollary value."""
+    """Sandwich on kappa_L for L = (X^T X)^{1/2}, with the C/c corollary value.
+
+    L^{-1} hess L^{-1} = Q^T Lambda Q with Q = X (X^T X)^{-1/2}, whose columns
+    are orthonormal, so Cauchy interlacing puts lambda_1 above
+    lambda_{n-d+1}(Lambda) and lambda_d below lambda_d(Lambda). The lower
+    bound reads both from the entry extremes, assumed jointly attainable as
+    in mult_kappa_bounds.
+    """
     s = _mult_structure(target)
     n, d = s.design.shape
     sup_l1 = float(s.entry_sup.max())
     inf_ld = float(s.entry_inf.min())
     sup_lk = float(np.sort(s.entry_sup)[::-1][n - d])
+    inf_lambda_d = float(np.sort(s.entry_inf)[::-1][d - 1])  # d-th largest
     c, big_c = s.lambda_extremes
     return BoundReport(
         kind="Prop5",
         value=sup_l1 / inf_ld,
-        lower=sup_lk / inf_ld,
+        lower=sup_lk / inf_lambda_d,
         inputs={"sup_lambda1": sup_l1, "inf_lambdad": inf_ld, "c": c, "C": big_c},
         extras={"corollary_value": big_c / c},
     )

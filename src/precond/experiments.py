@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -193,15 +193,83 @@ def _measure_row(
     return row
 
 
+class _Slot(NamedTuple):
+    """One chain of an experiment: its row's arm, chain and seed, its start
+    state, and its preconditioner (None when the arm could not build one)."""
+
+    arm: str
+    chain: int
+    seed: int
+    x0: np.ndarray
+    precond: Optional[preconditioners.Preconditioner]
+
+
+def _run_slots(
+    experiment: str, target, cell: tuple, slots: list, kind: str, step: float,
+    measure: int, burn_in: int = 0, rate: Optional[float] = None, after_burn=None,
+) -> list:
+    """One row per slot, in slot order, from chains run in lock-step batches.
+
+    A slot without a preconditioner reads "failed" with wall time 0 and does
+    not run. The others run in the batches of _batches. Without after_burn,
+    each chain measures for `measure` steps from its x0 on its row's seed.
+    With it, each chain first adapts its step toward acceptance `rate` for
+    `burn_in` steps on derive_seed(seed, 0); after_burn(slot, burn_trace)
+    then returns the (preconditioner, step) to measure with, on
+    derive_seed(seed, 1) from the last burn-in state, or None to mark the
+    row failed. Every row of a batch of K chains reports its wall time / K.
+    """
+    d, n, mu = cell
+    rows = [
+        None if s.precond is not None else _measure_row(
+            experiment, d, n, mu, s.arm, s.chain, s.seed, None, 0.0, status="failed")
+        for s in slots
+    ]
+    live = [k for k, row in enumerate(rows) if row is None]
+    for batch in _batches(len(live), max(burn_in, measure), d):
+        picked = [slots[live[j]] for j in batch]
+        starts = np.array([s.x0 for s in picked])
+        t0 = time.perf_counter()
+        if after_burn is None:
+            plans = [(s.precond, step) for s in picked]
+            seeds = [s.seed for s in picked]
+        else:
+            burn = samplers.run_chains(target, [
+                samplers.ChainConfig(
+                    kind=kind, step_size=step, preconditioner=s.precond,
+                    n_steps=burn_in, seed=derive_seed(s.seed, 0),
+                    adapt=samplers.AdaptConfig(target_rate=rate),
+                )
+                for s in picked
+            ], starts)
+            plans = [after_burn(s, b) for s, b in zip(picked, burn)]
+            seeds = [derive_seed(s.seed, 1) for s in picked]
+            starts = np.array([b.states[-1] for b in burn])
+            del burn
+        runs = [j for j, plan in enumerate(plans) if plan is not None]
+        traces = dict(zip(runs, samplers.run_chains(target, [
+            samplers.ChainConfig(kind=kind, step_size=plans[j][1],
+                                 preconditioner=plans[j][0], n_steps=measure,
+                                 seed=seeds[j])
+            for j in runs
+        ], starts[runs]))) if runs else {}
+        wall = (time.perf_counter() - t0) / len(batch)
+        for j, s in enumerate(picked):
+            rows[live[batch[j]]] = _measure_row(
+                experiment, d, n, mu, s.arm, s.chain, s.seed, traces.get(j), wall,
+                status="ok" if j in traces else "failed")
+        del traces  # free this batch's states before the next one
+    return rows
+
+
 # -- experiment 1: counterproductive diagonal preconditioning ----------------
 
 def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
     """RWM on the fixed 5-d Gaussian with dense, diagonal, and no preconditioning.
 
-    Every chain of every arm runs in one lock-step batch, or in several of
-    near-equal size when their states exceed BATCH_STATE_BYTES; a batch may
-    hold chains of more than one arm. Rows stay in arm-major order, and each
-    row reports its batch's wall time divided by the batch size.
+    Every chain of every arm starts at equilibrium and runs without burn-in,
+    in one batch per cell (or several of near-equal size, which may mix
+    arms); rows stay in arm-major order.
     """
     sigma = SIGMA_PI
     d = sigma.shape[0]
@@ -222,42 +290,27 @@ def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
         )
     )
     sqrt_sigma = linalg.sym_sqrt(sigma)
-    sigma_step = 2.38 / math.sqrt(d)
-    slots = [
-        (arm, chain, derive_seed(config.master_seed, 0, arm_idx, chain))
-        for arm_idx, arm in enumerate(arms)
-        for chain in range(config.chains_per_cell)
-    ]
-    for batch in _batches(len(slots), config.measure, d):
-        picked = [slots[j] for j in batch]
-        x0s = np.array([  # equilibrium starts
-            sqrt_sigma @ np.random.default_rng(np.random.SeedSequence([seed, 1]))
-            .standard_normal(d)
-            for _, _, seed in picked
-        ])
-        cfgs = [
-            samplers.ChainConfig(
-                kind="RWM", step_size=sigma_step, preconditioner=arm,
-                n_steps=config.measure, seed=seed,
-            )
-            for arm, _, seed in picked
-        ]
-        t0 = time.perf_counter()
-        traces = samplers.run_chains(target, cfgs, x0s)
-        wall = (time.perf_counter() - t0) / len(batch)
-        result.rows += [
-            _measure_row("counterproductive", d, d, 0.0, arm.label, chain,
-                         seed, trace, wall)
-            for (arm, chain, seed), trace in zip(picked, traces)
-        ]
-        del traces  # free this batch's states before the next one
+    slots = []
+    for arm_idx, arm in enumerate(arms):
+        for chain in range(config.chains_per_cell):
+            seed = derive_seed(config.master_seed, 0, arm_idx, chain)
+            x0 = sqrt_sigma @ np.random.default_rng(
+                np.random.SeedSequence([seed, 1])).standard_normal(d)
+            slots.append(_Slot(arm.label, chain, seed, x0, arm))
+    result.rows = _run_slots("counterproductive", target, (d, d, 0.0), slots,
+                             "RWM", 2.38 / math.sqrt(d), config.measure)
     return result
 
 
 # -- experiment 2: hyperbolic-prior regression with MALA ----------------------
 
 def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
-    """MALA with design, estimated-covariance, and identity preconditioning."""
+    """MALA with design, estimated-covariance, and identity preconditioning.
+
+    Each chain adapts its step in burn-in and measures at the fixed d^(-1/6);
+    the covariance arm burns in without preconditioning and measures with
+    the covariance of its own burn-in states. Rows are in chain-major order.
+    """
     result = ExperimentResult(experiment="hyperbolic")
     for di, d in enumerate(config.dims):
         for mi, mult in enumerate(config.n_multipliers):
@@ -279,61 +332,30 @@ def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
                 )
             )
             step0 = d ** (-1.0 / 6.0)
-            arm_rows = []
-            for arm_idx, (label, base_precond) in enumerate(
-                [("design", design), ("covariance", None), ("none", identity)]
-            ):
-                burn_precond = base_precond if base_precond is not None else identity
-                rows = []
-                for batch in _batches(config.chains_per_cell,
-                                      max(config.burn_in, config.measure), d):
-                    seeds = {chain: derive_seed(config.master_seed, 1, di, mi, arm_idx, chain)
-                             for chain in batch}
-                    burn_cfgs = [
-                        samplers.ChainConfig(
-                            kind="MALA", step_size=step0, preconditioner=burn_precond,
-                            n_steps=config.burn_in, seed=derive_seed(seed, 0),
-                            adapt=samplers.AdaptConfig(target_rate=0.574),
-                        )
-                        for seed in seeds.values()
-                    ]
-                    t0 = time.perf_counter()
-                    burn = dict(zip(batch, samplers.run_chains(
-                        target, burn_cfgs, np.tile(beta_ls, (len(batch), 1)))))
-                    precond_of = {}
-                    for chain, trace in burn.items():
-                        if base_precond is not None:
-                            precond_of[chain] = base_precond
-                            continue
-                        try:
-                            sigma_hat = preconditioners.sample_covariance(trace.states)
-                            precond_of[chain] = preconditioners.dense_covariance_preconditioner(
-                                sigma_hat, label="covariance"
-                            )
-                        except (DefinitenessError, np.linalg.LinAlgError):
-                            pass  # the chain's row is marked failed
-                    run_cfgs = [
-                        samplers.ChainConfig(
-                            kind="MALA", step_size=step0, preconditioner=precond,
-                            n_steps=config.measure, seed=derive_seed(seeds[chain], 1),
-                        )
-                        for chain, precond in precond_of.items()
-                    ]
-                    starts = np.array([burn[chain].states[-1] for chain in precond_of])
-                    del burn
-                    traces = dict(zip(precond_of, samplers.run_chains(
-                        target, run_cfgs, starts))) if run_cfgs else {}
-                    wall = (time.perf_counter() - t0) / len(batch)
-                    rows += [
-                        _measure_row(
-                            "hyperbolic", d, n, 0.0, label, chain, seeds[chain],
-                            traces.get(chain), wall,
-                            status="ok" if chain in traces else "failed",
-                        )
-                        for chain in batch
-                    ]
-                    del traces
-                arm_rows.append(rows)
+
+            def after_burn(slot: _Slot, burn: samplers.Trace):
+                if slot.arm != "covariance":
+                    return slot.precond, step0
+                try:
+                    return preconditioners.dense_covariance_preconditioner(
+                        preconditioners.sample_covariance(burn.states), label="covariance"
+                    ), step0
+                except (DefinitenessError, np.linalg.LinAlgError):
+                    return None
+
+            # One batch per arm: a batch that mixed in the never-moving
+            # fixed-step "none" chains would round them differently, and
+            # some rows of that arm would turn from ok to stuck.
+            arm_rows = [
+                _run_slots("hyperbolic", target, (d, n, 0.0), [
+                    _Slot(label, chain,
+                          derive_seed(config.master_seed, 1, di, mi, arm_idx, chain),
+                          beta_ls, precond)
+                    for chain in range(config.chains_per_cell)
+                ], "MALA", step0, config.measure, config.burn_in, 0.574, after_burn)
+                for arm_idx, (label, precond) in enumerate(
+                    [("design", design), ("covariance", identity), ("none", identity)])
+            ]
             for chain in range(config.chains_per_cell):  # rows in chain-major order
                 result.rows += [rows[chain] for rows in arm_rows]
     return result
@@ -345,7 +367,11 @@ BINOMIAL_LAMBDA = 0.01
 
 
 def run_binomial(config: ExperimentConfig) -> ExperimentResult:
-    """RWM with the seven preconditioning arms on the binomial g-prior model."""
+    """RWM with the seven preconditioning arms on the binomial g-prior model.
+
+    Each chain adapts its step in burn-in and measures at the adapted step.
+    All seven arms of a cell run in one batch; rows are in arm-major order.
+    """
     result = ExperimentResult(experiment="binomial")
     short_n = int(config.extra.get("short_estimate", 4_000))
     long_n = int(config.extra.get("long_estimate", 20_000))
@@ -410,56 +436,18 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                 extras={"mode_bound": mode_bound.value},
             ))
 
-            # Every chain of every arm of the cell runs in one lock-step batch
-            # per phase. Rows stay in arm-major order; an arm without a
-            # preconditioner keeps its failed rows in place.
-            slots = [
-                (label, precond, chain,
-                 derive_seed(config.master_seed, 2, di, mi, arm_idx, chain))
-                for arm_idx, (label, precond) in enumerate(arms)
-                for chain in range(config.chains_per_cell)
-            ]
-            rows = [
-                None if precond is not None else _measure_row(
-                    "binomial", d, n, mu, label, chain, seed, None, 0.0, status="failed")
-                for label, precond, chain, seed in slots
-            ]
-            live = [k for k, row in enumerate(rows) if row is None]
-            for batch in _batches(len(live), max(config.burn_in, config.measure), d):
-                picked = [slots[live[j]] for j in batch]
-                x0s = np.array([
-                    beta_star + init_cov_sqrt @ np.random.default_rng(
-                        np.random.SeedSequence([seed, 3])
-                    ).standard_normal(d)
-                    for _, _, _, seed in picked
-                ])
-                burn_cfgs = [
-                    samplers.ChainConfig(
-                        kind="RWM", step_size=step0, preconditioner=precond,
-                        n_steps=config.burn_in, seed=derive_seed(seed, 0),
-                        adapt=samplers.AdaptConfig(target_rate=0.234),
-                    )
-                    for _, precond, _, seed in picked
-                ]
-                t0 = time.perf_counter()
-                burn = samplers.run_chains(target, burn_cfgs, x0s)
-                run_cfgs = [
-                    samplers.ChainConfig(
-                        kind="RWM", step_size=b.final_step_size,
-                        preconditioner=precond,
-                        n_steps=config.measure, seed=derive_seed(seed, 1),
-                    )
-                    for (_, precond, _, seed), b in zip(picked, burn)
-                ]
-                starts = np.array([b.states[-1] for b in burn])
-                del burn
-                traces = samplers.run_chains(target, run_cfgs, starts)
-                wall = (time.perf_counter() - t0) / len(batch)
-                for j, (label, _, chain, seed), trace in zip(batch, picked, traces):
-                    rows[live[j]] = _measure_row(
-                        "binomial", d, n, mu, label, chain, seed, trace, wall)
-                del traces
-            result.rows += rows
+            slots = []
+            for arm_idx, (label, precond) in enumerate(arms):
+                for chain in range(config.chains_per_cell):
+                    seed = derive_seed(config.master_seed, 2, di, mi, arm_idx, chain)
+                    x0 = beta_star + init_cov_sqrt @ np.random.default_rng(
+                        np.random.SeedSequence([seed, 3])).standard_normal(d)
+                    slots.append(_Slot(label, chain, seed, x0, precond))
+            result.rows += _run_slots(
+                "binomial", target, (d, n, mu), slots, "RWM", step0, config.measure,
+                config.burn_in, 0.234,
+                lambda slot, burn: (slot.precond, burn.final_step_size),
+            )
     return result
 
 
@@ -514,6 +502,7 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
         kappa_design = conditioning.kappa_after(target, design).value
         ok = (
             sandwich.lower <= kappa * (1 + 1e-8)
+            and dal.lower <= kappa_design * (1 + 1e-8)
             and kappa_design <= dal.extras["corollary_value"] * (1 + 1e-6)
         )
         result.rows.append(_bound_row(d, n, "binomial-mult", k, seed, kappa_design,

@@ -349,23 +349,16 @@ def sample_hyperbolic_prior(
     return np.interp(u, cdf, grid)
 
 
-def synth_regression_data(
-    d: int, n: int, seed: int, standardize: bool = False
-) -> tuple[np.ndarray, np.ndarray, float]:
+def synth_regression_data(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Synthetic data for the hyperbolic-prior regression experiment.
 
-    X has iid standard-normal entries, beta_0 is drawn from the hyperbolic
-    prior, Y = X beta_0 + N(0, I), and lambda = sqrt(n)/d. Columns are left
-    as generated by default; ``standardize`` rescales them to unit variance
-    for the model-definition reading.
+    X has iid standard-normal entries, left unscaled, beta_0 is drawn from
+    the hyperbolic prior, Y = X beta_0 + N(0, I), and lambda = sqrt(n)/d.
     """
     if not (1 <= d <= n):
         raise PrecondError(f"need n >= d >= 1, got d={d}, n={n}")
     rng = np.random.default_rng(seed)
     x_mat = rng.standard_normal((n, d))
-    if standardize:
-        sd = x_mat.std(axis=0, ddof=1)
-        x_mat = x_mat / sd
     lam = np.sqrt(n) / d
     beta0 = sample_hyperbolic_prior(d, lam, rng)
     y = x_mat @ beta0 + rng.standard_normal(n)

@@ -34,6 +34,16 @@ def test_condition_number_cosine():
     assert conditioning.condition_number(t).value == pytest.approx(4.0)
 
 
+def test_kappa_without_hessian_extremes_is_inapplicable():
+    # a search over states would only bound kappa from below: no certificate
+    t = DifferentiableTarget(dim=2, potential=lambda x: 0.5 * x @ x,
+                             gradient=lambda x: x, hessian=lambda x: np.eye(2))
+    with pytest.raises(BoundInapplicableError, match="no Hessian envelopes"):
+        conditioning.condition_number(t)
+    with pytest.raises(BoundInapplicableError, match="no Hessian envelopes"):
+        conditioning.kappa_after(t, preconditioners.identity_preconditioner(2))
+
+
 def test_kappa_after_whitening_and_diag():
     t = targets.gaussian_target(np.zeros(5), SIGMA_PI_FIXTURE)
     white = preconditioners.dense_covariance_preconditioner(SIGMA_PI_FIXTURE)
@@ -511,6 +521,36 @@ def test_mult_design_bound_binomial_formula():
         (w * (0.25 + lam / n)).max() / (w * (lam / n)).min()
     )
     assert rep.lower <= rep.value
+
+
+def test_mult_dalalyan_lower_is_below_kappa_l():
+    # Lambda(x) = s(x) w with s in [0.5, 2]: exact kappa_L = 4 kappa(Q^T W Q)
+    # for Q = X (X^T X)^{-1/2}, and interlacing puts the lower bound beneath it
+    rng = np.random.default_rng(14)
+    x_mat = rng.standard_normal((10, 3))
+    w = np.arange(1.0, 11.0) ** 2
+    t = DifferentiableTarget(
+        dim=3,
+        potential=lambda x: 0.0,
+        gradient=lambda x: np.zeros(3),
+        hessian=lambda x: x_mat.T @ (w[:, None] * x_mat),
+        structure=MultiplicativeStructure(
+            design=x_mat, diag=lambda x: w, entry_inf=0.5 * w, entry_sup=2.0 * w
+        ),
+        kind="mult-test",
+    )
+    rep = conditioning.mult_dalalyan(t)
+    q = x_mat @ linalg.sym_inv_sqrt(x_mat.T @ x_mat)
+    exact = 4.0 * linalg.spectral_condition_number(q.T @ (w[:, None] * q)).cond
+    assert rep.lower == pytest.approx(2.0 * w[2] / (0.5 * w[-3]), rel=1e-12)
+    assert rep.lower <= exact * (1 + 1e-12)
+    # and on binomial instances against the design preconditioner's kappa_L
+    for seed in range(5):
+        x_mat, y, w = targets.synth_binomial_data(4, 20, 1.0, seed)
+        t = targets.binomial_gprior_target(x_mat, y, w, 0.01 / 20)
+        kappa_l = conditioning.kappa_after(
+            t, preconditioners.design_preconditioner(x_mat)).value
+        assert conditioning.mult_dalalyan(t).lower <= kappa_l * (1 + 1e-8)
 
 
 def test_mult_mode_bound_formula_and_constant_case():

@@ -156,6 +156,17 @@ def test_verify_bounds_smoke_all_pass():
     assert all(row["status"] == "pass" for row in result.rows)
 
 
+def test_verify_bounds_checks_the_prop5_lower_bound(monkeypatch):
+    dalalyan = conditioning.mult_dalalyan
+    monkeypatch.setattr(conditioning, "mult_dalalyan",
+                        lambda target: replace(dalalyan(target), lower=1e12))
+    cfg = ExperimentConfig(experiment="verify-bounds", master_seed=11,
+                           extra={"n_instances": 3, "n_preconditioners": 0})
+    statuses = [row["status"] for row in run_experiment(cfg).rows
+                if row["arm"] == "binomial-mult"]
+    assert statuses == ["fail"] * 3
+
+
 def test_batches_cover_chains_within_state_budget():
     chunks = experiments._batches(100, 10_000, 5)
     assert [list(c) for c in chunks] == [list(range(50)), list(range(50, 100))]
@@ -643,3 +654,98 @@ def test_analyze_shares_one_hessian_stack():
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
         # 128 probes: three full stacks and the first 16 again become one stack
         assert len(public_calls) - len(shared_calls) == 2 * 128 + 16
+
+
+# -- hyperbolic rows against a per-arm reference loop ---------------------------
+
+def _hyperbolic_per_arm(config):
+    """The hyperbolic experiment written out arm by arm and batch by batch."""
+    rows = []
+    for di, d in enumerate(config.dims):
+        for mi, mult in enumerate(config.n_multipliers):
+            n = mult * d
+            x_mat, y, lam = targets.synth_regression_data(
+                d, n, derive_seed(config.master_seed, 1, di, mi))
+            target = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+            a_mat = x_mat.T @ x_mat
+            beta_ls = np.linalg.solve(a_mat, x_mat.T @ y)
+            identity = preconditioners.identity_preconditioner(d, label="none")
+            arms = [("design", preconditioners.additive_base_preconditioner(a_mat)),
+                    ("covariance", None), ("none", identity)]
+            step0 = d ** (-1.0 / 6.0)
+            arm_rows = []
+            for arm_idx, (label, base) in enumerate(arms):
+                burn_precond = identity if base is None else base
+                rows_of_arm = []
+                for batch in experiments._batches(config.chains_per_cell,
+                                                  max(config.burn_in, config.measure), d):
+                    seeds = [derive_seed(config.master_seed, 1, di, mi, arm_idx, chain)
+                             for chain in batch]
+                    burn = samplers.run_chains(target, [
+                        samplers.ChainConfig(
+                            kind="MALA", step_size=step0, preconditioner=burn_precond,
+                            n_steps=config.burn_in, seed=derive_seed(seed, 0),
+                            adapt=samplers.AdaptConfig(target_rate=0.574))
+                        for seed in seeds
+                    ], np.tile(beta_ls, (len(batch), 1)))
+                    chosen = {}
+                    for chain, trace in zip(batch, burn):
+                        try:
+                            chosen[chain] = base if base is not None else (
+                                preconditioners.dense_covariance_preconditioner(
+                                    preconditioners.sample_covariance(trace.states),
+                                    label="covariance"))
+                        except DefinitenessError:
+                            pass
+                    traces = dict(zip(chosen, samplers.run_chains(target, [
+                        samplers.ChainConfig(
+                            kind="MALA", step_size=step0, preconditioner=precond,
+                            n_steps=config.measure,
+                            seed=derive_seed(seeds[chain - batch.start], 1))
+                        for chain, precond in chosen.items()
+                    ], np.array([burn[chain - batch.start].states[-1] for chain in chosen]))
+                    )) if chosen else {}
+                    rows_of_arm += [
+                        experiments._measure_row(
+                            "hyperbolic", d, n, 0.0, label, chain, seed, traces.get(chain),
+                            0.0, status="ok" if chain in traces else "failed")
+                        for chain, seed in zip(batch, seeds)
+                    ]
+                arm_rows.append(rows_of_arm)
+            for chain in range(config.chains_per_cell):
+                rows += [rows_of_arm[chain] for rows_of_arm in arm_rows]
+    return ExperimentResult("hyperbolic", rows)
+
+
+@pytest.mark.parametrize("chains_per_cell, chains_per_batch",
+                         [(1, None), (3, None), (3, 2), (3, 1)])
+def test_hyperbolic_rows_match_per_arm_reference(monkeypatch, chains_per_cell,
+                                                 chains_per_batch):
+    cfg = ExperimentConfig(experiment="hyperbolic", dims=(2, 3), n_multipliers=(5,),
+                           chains_per_cell=chains_per_cell, burn_in=200, measure=200,
+                           master_seed=13)
+    if chains_per_batch is not None:
+        monkeypatch.setattr(experiments, "BATCH_STATE_BYTES", chains_per_batch * 8 * 200 * 3)
+        assert len(experiments._batches(chains_per_cell, 200, 3)) > 1
+    dense = preconditioners.dense_covariance_preconditioner
+    calls = []
+
+    def second_fails(sigma, label="dense"):
+        # the second covariance estimate of every run fails
+        calls.append(1)
+        if len(calls) == 2:
+            raise DefinitenessError("not positive definite", offending_eigenvalue=0.0)
+        return dense(sigma, label=label)
+
+    monkeypatch.setattr(preconditioners, "dense_covariance_preconditioner", second_fails)
+    want = _hyperbolic_per_arm(cfg)
+    calls.clear()
+    got = run_experiment(cfg)
+    assert _strip_wall_time(got) == _strip_wall_time(want)
+    assert [(r["d"], r["chain"], r["arm"]) for r in got.rows] == [
+        (d, chain, arm) for d in (2, 3) for chain in range(chains_per_cell)
+        for arm in ("design", "covariance", "none")
+    ]
+    failed = [(r["d"], r["chain"]) for r in got.rows if r["status"] == "failed"]
+    assert failed == [(2, 1) if chains_per_cell == 3 else (3, 0)]
+    assert all(r["arm"] == "covariance" for r in got.rows if r["status"] == "failed")
