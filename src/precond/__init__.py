@@ -32,7 +32,6 @@ from .diagnostics import EssReport, acceptance_rate, empirical_gap_upper, ess, e
 from .errors import PrecondError
 from .preconditioners import (
     Preconditioner,
-    PreconditionedTarget,
     additive_base_preconditioner,
     dense_covariance_preconditioner,
     design_preconditioner,
@@ -40,9 +39,8 @@ from .preconditioners import (
     fisher_preconditioner,
     hessian_at_mode_preconditioner,
     identity_preconditioner,
-    pushforward,
 )
-from .samplers import ChainConfig, Trace, find_mode, mala_chain, mh_accept, rwm_chain
+from .samplers import ChainConfig, Trace, find_mode, mala_chain, rwm_chain
 from .targets import (
     DifferentiableTarget,
     SmoothnessEnvelope,

@@ -4,9 +4,10 @@ Condition numbers are exact, from the Loewner extremes of the target's Hessian
 family; a target without them raises BoundInapplicableError, since a search
 over states could only under-state kappa.
 Assumption constants (epsilon, delta, gamma) are measured over probe sets and
-fed to the theorem bounds, which always hold in the sound direction: probes
-can only under-estimate a supremum, and the bounds are increasing in the
-measured constants.
+fed to the theorem bounds. Probe-measured constants are estimates, not
+certificates: a probe set can miss the state that attains a supremum, and an
+under-estimated epsilon makes an upper bound on kappa too small, so a bound
+built from them is only as sound as its probes.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Chain diagnostics: ESS, autocorrelations, acceptance, gap surrogates."""
+"""Chain diagnostics: ESS, acceptance, gap surrogates."""
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,18 +21,6 @@ def _demean(series: np.ndarray) -> np.ndarray:
     if not np.isfinite(series).all():
         raise PrecondError("series contains non-finite values")
     return series - series.mean()
-
-
-def lag_autocorrelation(series: np.ndarray, k: int) -> float:
-    """Biased-normalized autocorrelation at lag k."""
-    x = _demean(series)
-    n = x.shape[0]
-    if not 0 <= k < n / 2:
-        raise PrecondError(f"lag {k} must satisfy 0 <= k < n/2 = {n / 2}")
-    var = float(x @ x)
-    if var == 0.0:
-        raise ZeroVarianceError("series has zero variance")
-    return float(x[: n - k] @ x[k:] / var)
 
 
 def ess(series: np.ndarray) -> float:
@@ -141,21 +128,3 @@ def empirical_gap_upper(
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else math.inf
     return estimate, se
 
-
-def ess_rows_csv(
-    reports: list[tuple[str, str, int, int, float, EssReport]]
-) -> str:
-    """Long-format CSV of (run_id, preconditioner, d, n, mu, report) tuples.
-
-    Columns: run_id, preconditioner, d, n, mu, dim, ess, median_flag.
-    """
-    buf = io.StringIO()
-    buf.write("run_id,preconditioner,d,n,mu,dim,ess,median_flag\n")
-    for run_id, label, d, n, mu, report in reports:
-        med = report.median
-        for j, val in enumerate(report.per_dimension):
-            flag = int(val == med)
-            buf.write(
-                f"{run_id},{label},{d},{n},{mu!r},{j + 1},{float(val)!r},{flag}\n"
-            )
-    return buf.getvalue()

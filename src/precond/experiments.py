@@ -50,8 +50,17 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.chains_per_cell < 1 or self.burn_in < 0 or self.measure < 1:
-            raise PrecondError("counts must be positive")
+        # the hyperbolic covariance arm estimates from the burn-in, and the
+        # binomial arms measure at its adapted step
+        burn_in_min = 1 if self.experiment in ("hyperbolic", "binomial") else 0
+        # a shorter measurement has no ESS
+        for key, least in (("chains_per_cell", 1), ("burn_in", burn_in_min),
+                           ("measure", diagnostics.MIN_ESS_POINTS)):
+            value = getattr(self, key)
+            if value < least:
+                raise PrecondError(
+                    f"config field {key!r} must be at least {least}, got {value}"
+                )
 
 
 PRESETS = {
@@ -387,7 +396,7 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                 target, beta_star, label="mode"
             )
             identity = preconditioners.identity_preconditioner(d, label="none")
-            init_cov_sqrt = linalg.sym_inv_sqrt(design.llt())  # (n^-1 X^T X)^{-1/2}
+            init_cov_sqrt = design.inv  # (n^-1 X^T X)^{-1/2}
             step0 = 2.38 / math.sqrt(d)
 
             def estimate_chain(n_steps: int, precond, seed: int) -> samplers.Trace:
@@ -717,12 +726,6 @@ def _config_fields(data: dict) -> dict:
         check, want = _CONFIG_FIELDS[key]
         if not check(value):
             raise PrecondError(f"config field {key!r} must be {want}, got {value!r}")
-    # a shorter measurement has no ESS, and every row would read "stuck"
-    if kwargs.get("measure", diagnostics.MIN_ESS_POINTS) < diagnostics.MIN_ESS_POINTS:
-        raise PrecondError(
-            f"config field 'measure' must be at least {diagnostics.MIN_ESS_POINTS}, "
-            f"got {kwargs['measure']}"
-        )
     for key in ("dims", "n_multipliers", "mu_list"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])

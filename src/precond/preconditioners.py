@@ -1,4 +1,4 @@
-"""Preconditioner construction and the pushforward transform.
+"""Preconditioner construction and CSV serialization.
 
 Every constructor returns the symmetric positive-definite representative of
 its preconditioner: replacing L by its symmetrization V diag(s) V^T leaves the
@@ -15,13 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DefinitenessError,
-    DimensionMismatchError,
-    ModelFileError,
-    PrecondError,
-)
-from .targets import DifferentiableTarget, SmoothnessEnvelope
+from .errors import DefinitenessError, ModelFileError, PrecondError
+from .targets import DifferentiableTarget
 
 
 @dataclass(frozen=True)
@@ -174,84 +169,6 @@ def sample_covariance(samples: np.ndarray) -> np.ndarray:
     c = np.cov(x, rowvar=False, ddof=1)
     c = np.atleast_2d(c)
     return 0.5 * (c + c.T)
-
-
-@dataclass(frozen=True)
-class PreconditionedTarget(DifferentiableTarget):
-    """The pushforward of a target under y = Lx.
-
-    Potential, gradient and Hessian evaluate the transformed quantities
-    U(L^{-1} y), L^{-1} grad U(L^{-1} y), L^{-1} hess U(L^{-1} y) L^{-1}
-    (L is symmetric). ``base`` and ``precond`` retain the originals.
-    """
-
-    base: DifferentiableTarget = None
-    precond: Preconditioner = None
-
-
-def pushforward(
-    target: DifferentiableTarget, precond: Preconditioner
-) -> PreconditionedTarget:
-    """Transform a target by y = Lx."""
-    if precond.dim != target.dim:
-        raise DimensionMismatchError(
-            f"preconditioner dim {precond.dim} != target dim {target.dim}"
-        )
-    linv = precond.inv
-
-    def potential(y):
-        return target.potential(linv @ np.asarray(y, dtype=float))
-
-    def gradient(y):
-        return linv @ target.gradient(linv @ np.asarray(y, dtype=float))
-
-    def hessian(y):
-        return linv @ target.hessian(linv @ np.asarray(y, dtype=float)) @ linv
-
-    def transform_h(h):
-        if h is None:
-            return None
-        out = linv @ h @ linv
-        return 0.5 * (out + out.T)
-
-    h_lo = transform_h(target.hessian_lower)
-    h_up = transform_h(target.hessian_upper)
-    envelope = None
-    if h_lo is not None and h_up is not None:
-        lo_eigs = np.linalg.eigvalsh(h_lo)
-        up_eigs = np.linalg.eigvalsh(h_up)
-        if lo_eigs[0] > 0:
-            base_env = target.envelope
-            envelope = SmoothnessEnvelope(
-                m=float(lo_eigs[0]),
-                big_m=float(up_eigs[-1]),
-                m_attained=base_env.m_attained if base_env else True,
-                big_m_attained=base_env.big_m_attained if base_env else True,
-            )
-    cov = None
-    if target.exact_covariance is not None:
-        cov = precond.l @ target.exact_covariance @ precond.l
-        cov = 0.5 * (cov + cov.T)
-    mode = None
-    if target.exact_mode is not None:
-        mode = precond.l @ target.exact_mode
-    return PreconditionedTarget(
-        dim=target.dim,
-        potential=potential,
-        gradient=gradient,
-        hessian=hessian,
-        envelope=envelope,
-        structure=None,
-        exact_covariance=cov,
-        exact_mode=mode,
-        hessian_constant=target.hessian_constant,
-        hessian_lower=h_lo,
-        hessian_upper=h_up,
-        kind=target.kind,
-        params=dict(target.params),
-        base=target,
-        precond=precond,
-    )
 
 
 def to_csv(precond: Preconditioner) -> str:

@@ -6,13 +6,11 @@ x' = x - sigma^2/2 (LL^T)^{-1} grad U(x) + sigma L^{-1} xi; RWM is the
 zero-drift case. This is step-for-step identical to running the plain
 algorithm on the pushforward target y = Lx and mapping states back through
 L^{-1}, provided both consume the same RNG stream.
-``rwm_chain_pushforward_view`` exists to check that equivalence.
 ``run_chains`` advances many chains in lock-step by the same rule.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModeSearchError, NonFiniteInputError, PrecondError
-from .preconditioners import Preconditioner, pushforward
+from .preconditioners import Preconditioner
 from .targets import DifferentiableTarget
 
 
@@ -72,23 +70,11 @@ class Trace:
             raise PrecondError("trace arrays must have equal length")
 
 
-def mh_accept(log_pi_ratio: float, log_q_ratio: float, u: float) -> bool:
-    """Metropolis-Hastings filter: accept iff log u <= min(0, total log ratio).
-
-    Non-finite ratios reject; callers count these as warnings.
-    """
-    if not 0.0 <= u < 1.0:
-        raise PrecondError(f"u must lie in [0, 1), got {u}")
-    total = log_pi_ratio + log_q_ratio
-    if not math.isfinite(total):
-        return False
-    return math.log(u) <= min(0.0, total) if u > 0.0 else True
-
-
 def _mh_filter(log_ratio: np.ndarray, log_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`mh_accept` element-wise on total log ratios, given log u.
+    """The Metropolis-Hastings filter, element-wise on total log ratios, given log u.
 
-    Returns the accept mask and the mask of finite ratios. As u < 1,
+    A step is accepted iff log u <= min(0, ratio), and a non-finite ratio
+    rejects. Returns the accept mask and the mask of finite ratios. As u < 1,
     log u <= min(0, ratio) is log u <= ratio.
     """
     finite = np.isfinite(log_ratio)
@@ -306,64 +292,6 @@ def rwm_chain(
     return _mh_chain(target, config, x0)
 
 
-def rwm_chain_pushforward_view(
-    target: DifferentiableTarget,
-    config: ChainConfig,
-    x0: Optional[np.ndarray] = None,
-) -> Trace:
-    """Plain RWM on the pushforward target, states mapped back through L^{-1}.
-
-    Consumes the RNG stream in the same order as :func:`rwm_chain`, so the two
-    must agree step for step. It is kept as the test oracle of that kernel.
-    """
-    if config.kind != "RWM":
-        raise PrecondError("config.kind must be RWM")
-    precond = config.preconditioner
-    pushed = pushforward(target, precond)
-    x = _init_state(target, x0)
-    y = precond.l @ x
-    u0 = pushed.potential(y)
-    if not math.isfinite(u0):
-        raise NonFiniteInputError("potential is not finite at the initial state")
-    n, d = config.n_steps, target.dim
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    raw = rng.standard_normal((n, d))
-    unif = rng.random(n)
-    linv = precond.inv
-    states = np.empty((n, d))
-    accepted = np.empty(n, dtype=bool)
-    log_pots = np.empty(n)
-    sigma = config.step_size
-    warnings = 0
-    for t in range(n):
-        prop = y + sigma * raw[t]
-        u_prop = pushed.potential(prop)
-        log_ratio = u0 - u_prop
-        if not math.isfinite(log_ratio):
-            warnings += 1
-            ok = False
-            alpha = 0.0
-        else:
-            alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
-            ok = mh_accept(log_ratio, 0.0, unif[t])
-        if ok:
-            y, u0 = prop, u_prop
-        states[t] = linv @ y
-        accepted[t] = ok
-        log_pots[t] = u0
-        if config.adapt is not None:
-            sigma = adapt_step_size(sigma, t, alpha, config.adapt)
-    return Trace(
-        states=states,
-        accepted=accepted,
-        log_potentials=log_pots,
-        config=config,
-        x0=_init_state(target, x0),
-        final_step_size=sigma,
-        n_warnings=warnings,
-    )
-
-
 def mala_chain(
     target: DifferentiableTarget,
     config: ChainConfig,
@@ -487,20 +415,3 @@ def find_mode(
         f"gradient norm {gnorm:.3e} still above tol {tol} after {it + 1} iterations"
     )
 
-
-def trace_to_csv(trace: Trace, thin: int = 1) -> str:
-    """CSV export: step, accepted, x_1..x_d, logU, with an optional thinning flag."""
-    d = trace.states.shape[1]
-    buf = io.StringIO()
-    cols = ["step", "accepted"] + [f"x_{i+1}" for i in range(d)] + ["logU"]
-    if thin > 1:
-        cols.append("thinned")
-    buf.write(",".join(cols) + "\n")
-    for t in range(0, trace.states.shape[0], thin):
-        row = [str(t), str(int(trace.accepted[t]))]
-        row += [repr(float(v)) for v in trace.states[t]]
-        row.append(repr(float(trace.log_potentials[t])))
-        if thin > 1:
-            row.append("1")
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()

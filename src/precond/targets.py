@@ -385,25 +385,3 @@ def synth_binomial_data(
     y = s / w
     return x_mat, y, w
 
-
-def finite_diff_check(
-    target: DifferentiableTarget, x: np.ndarray, step: Optional[float] = None
-) -> tuple[float, float]:
-    """Relative error of the analytic gradient and Hessian vs central differences."""
-    x = np.asarray(x, dtype=float)
-    if step is None:
-        step = 1e-5 * (1.0 + np.linalg.norm(x))
-    d = x.shape[0]
-    grad_fd = np.empty(d)
-    hess_fd = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = step
-        grad_fd[i] = (target.potential(x + e) - target.potential(x - e)) / (2 * step)
-        hess_fd[:, i] = (target.gradient(x + e) - target.gradient(x - e)) / (2 * step)
-    hess_fd = 0.5 * (hess_fd + hess_fd.T)
-    g = target.gradient(x)
-    h = target.hessian(x)
-    grad_err = np.linalg.norm(grad_fd - g) / max(1.0, np.linalg.norm(g))
-    hess_err = np.linalg.norm(hess_fd - h) / max(1.0, np.linalg.norm(h))
-    return float(grad_err), float(hess_err)

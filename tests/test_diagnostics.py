@@ -21,32 +21,6 @@ def _ar1(rho, n, seed=0, scale=1.0):
     return scale * x
 
 
-def test_lag_autocorrelation_iid_near_zero():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(10000)
-    assert abs(diagnostics.lag_autocorrelation(x, 1)) < 4 / math.sqrt(10000)
-
-
-def test_lag_autocorrelation_alternating_series():
-    x = np.array([(-1.0) ** t for t in range(1000)])
-    # biased normalization gives -(n-1)/n exactly
-    assert diagnostics.lag_autocorrelation(x, 1) == pytest.approx(-999.0 / 1000.0)
-
-
-def test_lag_autocorrelation_ar1():
-    x = _ar1(0.8, 100000, seed=2)
-    assert diagnostics.lag_autocorrelation(x, 1) == pytest.approx(0.8, abs=0.02)
-
-
-def test_lag_autocorrelation_validation():
-    with pytest.raises(PrecondError):
-        diagnostics.lag_autocorrelation(np.ones(100), 1)  # zero variance
-    with pytest.raises(PrecondError):
-        diagnostics.lag_autocorrelation(np.arange(10.0), 6)  # lag too large
-    with pytest.raises(PrecondError):
-        diagnostics.lag_autocorrelation(np.array([1.0, np.nan, 0.0, 2.0]), 1)
-
-
 def test_ess_iid():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(10000)
@@ -166,20 +140,6 @@ def test_empirical_gap_validation():
         diagnostics.empirical_gap_upper(trace, np.zeros(1))
     with pytest.raises(PrecondError):
         diagnostics.empirical_gap_upper(trace, np.array([1.0]), batches=150)
-
-
-def test_ess_rows_csv_format():
-    rep = diagnostics.EssReport(
-        per_dimension=np.array([10.0, 20.0, 30.0]), median=20.0, n=100
-    )
-    text = diagnostics.ess_rows_csv([("run1", "dense", 3, 100, 0.0, rep)])
-    lines = text.strip().splitlines()
-    assert lines[0] == "run_id,preconditioner,d,n,mu,dim,ess,median_flag"
-    assert len(lines) == 4
-    fields = lines[2].split(",")
-    assert fields[:6] == ["run1", "dense", "3", "100", "0.0", "2"]
-    assert float(fields[6]) == 20.0
-    assert fields[7] == "1"
 
 
 def _reference_ess(series):

@@ -415,6 +415,7 @@ def test_cli_preset_override_is_validated(tmp_path, capsys, override):
     {"dims": [2, 0]}, {"dims": [2.0]}, {"n_multipliers": [5, "x"]},
     {"mu_list": [True]}, {"burn_in": True}, {"master_seed": 1.5},
     {"extra": [1]}, {"experiment": 5}, {"output_dir": 3},
+    {"burn_in": -1}, {"chains_per_cell": 0},
 ])
 def test_cli_config_field_types_are_validated(tmp_path, capsys, override):
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
@@ -423,6 +424,22 @@ def test_cli_config_field_types_are_validated(tmp_path, capsys, override):
     assert code == cli.EXIT_CONFIG
     field_name = next(iter(override))
     assert capsys.readouterr().err.startswith(f"error: config field {field_name!r}")
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("preset, override", [
+    ("paper-4.2-small", {"burn_in": 0, "dims": [2], "n_multipliers": [5],
+                         "chains_per_cell": 1, "measure": 200}),
+    ("paper-4.3-small", {"burn_in": 0}),
+])
+def test_cli_burn_in_is_required_where_arms_are_built_from_it(tmp_path, capsys, preset,
+                                                              override):
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
+    code = cli.main(["experiment", "--preset", preset, "--config", cfg_path,
+                     "--out", str(tmp_path / "res")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "error: config field 'burn_in' must be at least 1, got 0")
     assert not (tmp_path / "res").exists()
 
 
@@ -568,9 +585,8 @@ def _trace(states):
 
 
 def test_measure_row_marks_only_zero_variance_stuck():
-    for flat in (lambda x: diagnostics.ess(x), lambda x: diagnostics.lag_autocorrelation(x, 1)):
-        with pytest.raises(ZeroVarianceError, match="zero variance"):
-            flat(np.zeros(200))
+    with pytest.raises(ZeroVarianceError, match="zero variance"):
+        diagnostics.ess(np.zeros(200))
     row = experiments._measure_row("counterproductive", 2, 2, 0.0, "none", 0, 1,
                                    _trace(np.zeros((200, 2))), 0.5)
     assert row["status"] == "stuck" and row["median_ess"] == 1.0

@@ -9,6 +9,7 @@ from precond import preconditioners, samplers, targets
 from precond.errors import ModeSearchError, NonFiniteInputError, PrecondError
 from precond.samplers import AdaptConfig, ChainConfig
 
+import oracles
 from test_fixtures import SIGMA_PI_FIXTURE, random_spd
 
 
@@ -22,12 +23,12 @@ def _rwm_config(d, sigma, n, seed=0, adapt=None, precond=None):
 
 
 def test_mh_accept_trivial():
-    assert samplers.mh_accept(0.0, 0.0, 0.999)
-    assert not samplers.mh_accept(-math.inf, 0.0, 0.001)
-    assert samplers.mh_accept(5.0, 0.0, 0.0)
-    assert not samplers.mh_accept(math.nan, 0.0, 0.5)
+    assert oracles.mh_accept(0.0, 0.0, 0.999)
+    assert not oracles.mh_accept(-math.inf, 0.0, 0.001)
+    assert oracles.mh_accept(5.0, 0.0, 0.0)
+    assert not oracles.mh_accept(math.nan, 0.0, 0.5)
     with pytest.raises(PrecondError):
-        samplers.mh_accept(0.0, 0.0, 1.0)
+        oracles.mh_accept(0.0, 0.0, 1.0)
 
 
 def test_mh_acceptance_matches_quadrature_1d():
@@ -64,9 +65,25 @@ def test_pushforward_view_is_step_identical():
     p = preconditioners.from_matrix(random_spd(rng, 3))
     cfg = _rwm_config(3, 0.8, 400, seed=7, precond=p)
     a = samplers.rwm_chain(t, cfg)
-    b = samplers.rwm_chain_pushforward_view(t, cfg)
+    b = oracles.rwm_chain_pushforward_view(t, cfg)
     assert np.array_equal(a.accepted, b.accepted)
     assert np.abs(a.states - b.states).max() <= 1e-10
+
+
+def test_adaptive_pushforward_view_is_step_identical():
+    # the adaptive RWM of the experiments' burn-ins and estimate chains
+    x_mat, y, lam = targets.synth_regression_data(4, 20, 5)
+    t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+    design = preconditioners.design_preconditioner(x_mat)
+    x0 = samplers.find_mode(t, design)
+    cfg = _rwm_config(4, 2.38 / math.sqrt(4), 2000, seed=11,
+                      adapt=AdaptConfig(0.234), precond=design)
+    a = samplers.rwm_chain(t, cfg, x0=x0)
+    b = oracles.rwm_chain_pushforward_view(t, cfg, x0=x0)
+    assert 0.1 < a.accepted.mean() < 0.5
+    assert np.array_equal(a.accepted, b.accepted)
+    assert np.abs(a.states - b.states).max() <= 1e-10
+    assert a.final_step_size == pytest.approx(b.final_step_size, rel=1e-10)
 
 
 def test_sigma_scaling_equivalence():
@@ -267,19 +284,6 @@ def test_find_mode_iteration_cap():
         samplers.find_mode(t, tol=0.0, max_iter=2, x0=np.ones(3))
 
 
-def test_trace_csv_export():
-    t = targets.gaussian_target(np.zeros(2), np.eye(2))
-    trace = samplers.rwm_chain(t, _rwm_config(2, 1.0, 10, seed=17))
-    text = samplers.trace_to_csv(trace)
-    lines = text.strip().splitlines()
-    assert lines[0] == "step,accepted,x_1,x_2,logU"
-    assert len(lines) == 11
-    vals = lines[3].split(",")
-    assert float(vals[2]) == trace.states[2, 0]
-    thinned = samplers.trace_to_csv(trace, thin=2)
-    assert len(thinned.strip().splitlines()) == 6
-
-
 def test_run_chain_dispatch():
     t = targets.gaussian_target(np.zeros(1), np.eye(1))
     r = samplers.run_chain(t, _rwm_config(1, 1.0, 10, seed=18))
@@ -322,7 +326,7 @@ def _mala_pushforward_reference(target, config, x0):
     kernel does.
     """
     precond = config.preconditioner
-    pushed = preconditioners.pushforward(target, precond)
+    pushed = oracles.pushforward(target, precond)
     y = precond.l @ x0
     u0, g0 = pushed.potential(y), pushed.gradient(y)
     n, d = config.n_steps, target.dim
@@ -338,7 +342,7 @@ def _mala_pushforward_reference(target, config, x0):
         fwd = prop - y + 0.5 * s2 * g0
         bwd = y - prop + 0.5 * s2 * g_prop
         log_q = (fwd @ fwd - bwd @ bwd) / (2.0 * s2)
-        accepted[t] = samplers.mh_accept(u0 - u_prop, log_q, unif[t])
+        accepted[t] = oracles.mh_accept(u0 - u_prop, log_q, unif[t])
         if accepted[t]:
             y, u0, g0 = prop, u_prop, g_prop
         states[t] = precond.inv @ y
@@ -474,7 +478,7 @@ def test_vectorised_accept_rule_matches_mh_accept(cases):
         total = log_pi + log_q
         accept, finite = samplers._mh_filter(total, log_u)
         alpha = samplers._accept_prob(total, finite)
-    expect = [samplers.mh_accept(a, b, v) for a, b, v in cases]
+    expect = [oracles.mh_accept(a, b, v) for a, b, v in cases]
     assert accept.tolist() == expect
     for tot, ok, fin, a in zip(total, accept, finite, alpha):
         if math.isfinite(tot):

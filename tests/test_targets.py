@@ -4,6 +4,7 @@ import pytest
 from precond import targets
 from precond.errors import DefinitenessError, PrecondError
 
+import oracles
 from test_fixtures import SIGMA_PI_FIXTURE, random_spd
 
 
@@ -29,7 +30,7 @@ def test_gaussian_rejects_indefinite():
 
 def test_gaussian_finite_diff():
     t = targets.gaussian_target(np.array([1.0, -2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
-    g_err, h_err = targets.finite_diff_check(t, np.array([0.4, 1.3]))
+    g_err, h_err = oracles.finite_diff_check(t, np.array([0.4, 1.3]))
     assert g_err <= 1e-7 and h_err <= 1e-7
 
 
@@ -42,7 +43,7 @@ def test_cosine_hessian_extremes():
 
 def test_cosine_finite_diff():
     t = targets.cosine_hard_target(1.0, 4.0)
-    g_err, h_err = targets.finite_diff_check(t, np.array([1.0, -2.0]))
+    g_err, h_err = oracles.finite_diff_check(t, np.array([1.0, -2.0]))
     assert g_err <= 1e-5 and h_err <= 1e-5
 
 
@@ -76,7 +77,7 @@ def test_hyperbolic_finite_diff():
     rng = np.random.default_rng(2)
     for _ in range(3):
         beta = rng.standard_normal(2)
-        g_err, h_err = targets.finite_diff_check(t, beta)
+        g_err, h_err = oracles.finite_diff_check(t, beta)
         assert g_err <= 1e-5 and h_err <= 1e-5
 
 
@@ -117,7 +118,7 @@ def test_binomial_finite_diff():
     rng = np.random.default_rng(4)
     for _ in range(3):
         beta = 0.5 * rng.standard_normal(2)
-        g_err, h_err = targets.finite_diff_check(t, beta)
+        g_err, h_err = oracles.finite_diff_check(t, beta)
         assert g_err <= 1e-5 and h_err <= 1e-5
 
 
