@@ -6,7 +6,6 @@ preconditioned RWM/MALA samplers, ESS diagnostics, and an experiment harness.
 
 from .conditioning import (
     BoundReport,
-    KappaEstimate,
     bound_thm1,
     bound_thm2,
     bound_thm3,
@@ -17,6 +16,7 @@ from .conditioning import (
     fisher_bound,
     givens_delta_kappa,
     hard_target_lower,
+    hessian_stack,
     improved_gap_threshold,
     kappa_after,
     measure_delta_eigenvector,

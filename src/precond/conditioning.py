@@ -1,8 +1,11 @@
 """Condition numbers before and after preconditioning, and every bound on them.
 
-Condition numbers are exact, from the Loewner extremes of the target's Hessian
-family; a target without them raises BoundInapplicableError, since a search
-over states could only under-state kappa.
+Both condition numbers take one route, the Loewner pair H_lo <= hessian(x) <=
+H_up that every target family carries, whose ends are attained or limiting
+members of the Hessian family: kappa = lambda_max(H_up) / lambda_min(H_lo),
+and kappa_L is the same ratio for L^{-1} H_lo L^{-1} and L^{-1} H_up L^{-1}.
+A target without the pair raises BoundInapplicableError, since a search over
+states could only under-state kappa.
 Assumption constants (epsilon, delta, gamma) are measured over probe sets and
 fed to the theorem bounds. Probe-measured constants are estimates, not
 certificates: a probe set can miss the state that attains a supremum, and an
@@ -70,16 +73,6 @@ def _jsonable(v):
     return v
 
 
-@dataclass(frozen=True)
-class KappaEstimate:
-    value: float
-    provenance: str  # "closed-form": every kappa is read from Hessian extremes
-
-    @property
-    def exact(self) -> bool:
-        return self.provenance == "closed-form"
-
-
 def _symmetrised(h: np.ndarray) -> np.ndarray:
     """0.5 (H + H^T) of a matrix, or of each matrix in a (..., d, d) stack."""
     return 0.5 * (h + np.swapaxes(h, -1, -2))
@@ -101,88 +94,36 @@ def _convex_eigvalsh(h_sym: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _no_extremes(target: DifferentiableTarget) -> BoundInapplicableError:
-    return BoundInapplicableError(
-        f"target {target.kind!r} carries no Hessian envelopes, so its condition "
-        "number has no certified value"
-    )
+def _kappa(h_lo: np.ndarray, h_up: np.ndarray) -> float:
+    """lambda_max(sym H_up) / lambda_min(sym H_lo) of a Loewner pair H_lo <= H_up."""
+    hi = np.linalg.eigvalsh(_symmetrised(h_up))[-1]
+    lo = np.linalg.eigvalsh(_symmetrised(h_lo))[0]
+    if lo <= 0:
+        raise AssumptionViolationError(
+            f"Hessian lower extreme is not positive definite ({lo:.3e})"
+        )
+    return float(hi / lo)
 
 
-def condition_number(target: DifferentiableTarget) -> KappaEstimate:
+def _loewner_pair(target: DifferentiableTarget) -> tuple[np.ndarray, np.ndarray]:
+    if target.hessian_lower is None or target.hessian_upper is None:
+        raise BoundInapplicableError(
+            f"target {target.kind!r} carries no Hessian envelopes, so its "
+            "condition number has no certified value"
+        )
+    return target.hessian_lower, target.hessian_upper
+
+
+def condition_number(target: DifferentiableTarget) -> float:
     """kappa = sup ||hessian|| * sup ||hessian^{-1}||, from the Hessian envelopes."""
-    if target.envelope is not None:
-        return KappaEstimate(value=target.envelope.kappa, provenance="closed-form")
-    if target.hessian_lower is not None and target.hessian_upper is not None:
-        hi = np.linalg.eigvalsh(target.hessian_upper)[-1]
-        lo = np.linalg.eigvalsh(target.hessian_lower)[0]
-        if lo <= 0:
-            raise AssumptionViolationError(
-                f"Hessian lower extreme is not positive definite ({lo:.3e})"
-            )
-        return KappaEstimate(value=float(hi / lo), provenance="closed-form")
-    raise _no_extremes(target)
+    return _kappa(*_loewner_pair(target))
 
 
-def _cosine_kappa_after(
-    target: DifferentiableTarget, linv: np.ndarray
-) -> float:
-    """Exact kappa_L for the cosine hard target.
-
-    The Hessian family is the full box of diagonal matrices diag{a, b} with
-    a, b in [m, M]; lambda_1 is convex and lambda_d concave over that box, so
-    the extremes sit at corners. A grid sweep over the state space, solved as
-    one (64 * 64, 2, 2) stack, certifies the corner values.
-    """
-    m, big_m = target.params["m"], target.params["M"]
-    corner_max = -np.inf
-    corner_min = np.inf
-    for a in (m, big_m):
-        for b in (m, big_m):
-            vals = np.linalg.eigvalsh(linv @ np.diag([a, b]) @ linv)
-            corner_max = max(corner_max, vals[-1])
-            corner_min = min(corner_min, vals[0])
-    ts = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    f = -0.5 * (m - big_m) * np.cos(ts) + 0.5 * (big_m + m)
-    grid = np.zeros((f.size, f.size, 2, 2))
-    grid[..., 0, 0] = f[:, None]
-    grid[..., 1, 1] = f[None, :]
-    vals = np.linalg.eigvalsh(linv @ grid.reshape(-1, 2, 2) @ linv)
-    grid_max = vals[:, -1].max()
-    grid_min = vals[:, 0].min()
-    tol = 1e-6 * max(abs(corner_max), 1.0)
-    if grid_max > corner_max + tol or grid_min < corner_min - tol:
-        raise PrecondError(
-            "grid refinement contradicts the corner certificate for the "
-            f"cosine target: corners [{corner_min:.6e}, {corner_max:.6e}], "
-            f"grid [{grid_min:.6e}, {grid_max:.6e}]"
-        )
-    return float(corner_max / corner_min)
-
-
-def kappa_after(target: DifferentiableTarget, precond: Preconditioner) -> KappaEstimate:
+def kappa_after(target: DifferentiableTarget, precond: Preconditioner) -> float:
     """kappa_L = sup ||L^{-1} hess L^{-1}|| * sup ||L hess^{-1} L||."""
+    h_lo, h_up = _loewner_pair(target)
     linv = precond.inv
-    if target.kind == "cosine":
-        return KappaEstimate(
-            value=_cosine_kappa_after(target, linv), provenance="closed-form"
-        )
-    if target.hessian_constant:
-        h = linv @ target.hessian(np.zeros(target.dim)) @ linv
-        summary = linalg.spectral_condition_number(0.5 * (h + h.T))
-        if summary.lambda_min <= 0:
-            raise AssumptionViolationError("constant Hessian is not positive definite")
-        return KappaEstimate(value=summary.cond, provenance="closed-form")
-    if target.hessian_lower is not None and target.hessian_upper is not None:
-        h_up = linv @ target.hessian_upper @ linv
-        h_lo = linv @ target.hessian_lower @ linv
-        hi = np.linalg.eigvalsh(0.5 * (h_up + h_up.T))[-1]
-        lo = np.linalg.eigvalsh(0.5 * (h_lo + h_lo.T))[0]
-        if lo <= 0:
-            raise AssumptionViolationError(
-                f"preconditioned Hessian lower extreme not positive ({lo:.3e})"
-            )
-        return KappaEstimate(value=float(hi / lo), provenance="closed-form")
-    raise _no_extremes(target)
+    return _kappa(linv @ h_lo @ linv, linv @ h_up @ linv)
 
 
 def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundReport:
@@ -198,17 +139,17 @@ def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundR
 
 # -- assumption constant measurement ----------------------------------------
 #
-# Each measurement stacks the probe Hessians into one (P, d, d) array and runs
-# one eigen-solve over the stack; the per-matrix results equal those of
-# solving each probe Hessian on its own, bit for bit. The private helpers
-# take the stack itself, so that analyze evaluates the Hessians only once.
+# Each measurement takes the (P, d, d) stack of probe Hessians from
+# hessian_stack and runs one eigen-solve over it; the per-matrix results equal
+# those of solving each probe Hessian on its own, bit for bit. analyze builds
+# one stack and passes it to every measurement.
 
 # Floats per stack of pair differences in measure_eps_hessian_variation
 # (8 MiB); larger probe sets are processed in chunks of pairs.
 PAIR_CHUNK_FLOATS = 1 << 20
 
 
-def _hessian_stack(
+def hessian_stack(
     target: DifferentiableTarget, probes: Sequence[np.ndarray]
 ) -> np.ndarray:
     """(P, d, d) stack of the target's Hessians at the probes."""
@@ -217,7 +158,8 @@ def _hessian_stack(
     return np.stack([target.hessian(np.asarray(x, dtype=float)) for x in probes])
 
 
-def _eps_eigenvalue(hs: np.ndarray, precond: Preconditioner) -> float:
+def measure_eps_eigenvalue(hs: np.ndarray, precond: Preconditioner) -> float:
+    """Smallest eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps on probes."""
     h = linalg.check_symmetric(_symmetrised(hs))
     ratio = _convex_eigvalsh(h)[:, ::-1] / precond.sigma_sq  # descending
     return max(
@@ -227,7 +169,14 @@ def _eps_eigenvalue(hs: np.ndarray, precond: Preconditioner) -> float:
     )
 
 
-def _delta_eigenvector(hs: np.ndarray, precond: Preconditioner) -> float:
+def measure_delta_eigenvector(hs: np.ndarray, precond: Preconditioner) -> float:
+    """Smallest delta with v_i(x)^T v_i >= 1 - (1 - sqrt(1-delta))^2 on probes.
+
+    Eigenvectors of each probe Hessian are paired with those of LL^T by
+    maximal absolute inner product (Hungarian assignment, one probe at a
+    time). Near-degenerate probe spectra make the pairing ambiguous and raise
+    instead of guessing.
+    """
     h = linalg.check_symmetric(_symmetrised(hs))
     values, vectors = np.linalg.eigh(h)  # ascending
     # columns in descending order of eigenvalue, as linalg.sym_eigen gives them
@@ -252,12 +201,14 @@ def _delta_eigenvector(hs: np.ndarray, precond: Preconditioner) -> float:
     return float(min(max(delta, 0.0), 1.0))
 
 
-def _eps_norm(hs: np.ndarray, precond: Preconditioner) -> float:
+def measure_eps_norm(hs: np.ndarray, precond: Preconditioner) -> float:
+    """Smallest eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps on probes."""
     norms = linalg.spectral_norm(_symmetrised(hs) - precond.llt())
     return max(0.0, float((norms / precond.sigma_sq[-1]).max()))
 
 
-def _eps_hessian_variation(hs: np.ndarray, m: float) -> float:
+def measure_eps_hessian_variation(hs: np.ndarray, m: float) -> float:
+    """Smallest eps with ||hessian(x) - hessian(y)|| <= m eps over probe pairs."""
     i, j = np.triu_indices(hs.shape[0], 1)
     chunk = max(1, PAIR_CHUNK_FLOATS // hs[0].size)
     eps = 0.0
@@ -266,46 +217,6 @@ def _eps_hessian_variation(hs: np.ndarray, m: float) -> float:
         norms = linalg.spectral_norm(_symmetrised(diff))
         eps = max(eps, float((norms / m).max()))
     return eps
-
-
-def measure_eps_eigenvalue(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    probes: Sequence[np.ndarray],
-) -> float:
-    """Smallest eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps on probes."""
-    return _eps_eigenvalue(_hessian_stack(target, probes), precond)
-
-
-def measure_delta_eigenvector(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    probes: Sequence[np.ndarray],
-) -> float:
-    """Smallest delta with v_i(x)^T v_i >= 1 - (1 - sqrt(1-delta))^2 on probes.
-
-    Eigenvectors of each probe Hessian are paired with those of LL^T by
-    maximal absolute inner product (Hungarian assignment, one probe at a
-    time). Near-degenerate probe spectra make the pairing ambiguous and raise
-    instead of guessing.
-    """
-    return _delta_eigenvector(_hessian_stack(target, probes), precond)
-
-
-def measure_eps_norm(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    probes: Sequence[np.ndarray],
-) -> float:
-    """Smallest eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps on probes."""
-    return _eps_norm(_hessian_stack(target, probes), precond)
-
-
-def measure_eps_hessian_variation(
-    target: DifferentiableTarget, probes: Sequence[np.ndarray], m: float
-) -> float:
-    """Smallest eps with ||hessian(x) - hessian(y)|| <= m eps over probe pairs."""
-    return _eps_hessian_variation(_hessian_stack(target, probes), m)
 
 
 def default_probes(
@@ -446,24 +357,31 @@ def _mult_structure(target: DifferentiableTarget) -> MultiplicativeStructure:
     return s
 
 
+def _entry_order_stats(s: MultiplicativeStructure) -> tuple[float, float, float, float]:
+    """sup of the largest entry, inf of the smallest, the (n-d+1)-th largest
+    entry supremum and the d-th largest entry infimum."""
+    n, d = s.design.shape
+    return (float(s.entry_sup.max()), float(s.entry_inf.min()),
+            float(np.sort(s.entry_sup)[::-1][n - d]),
+            float(np.sort(s.entry_inf)[::-1][d - 1]))
+
+
 def mult_kappa_bounds(target: DifferentiableTarget) -> BoundReport:
     """Sandwich on kappa from rectangular Ostrowski.
 
-    Entry extremes are assumed jointly attainable (true for logistic-type
-    families, where all entries peak at the same point).
+    lambda_1(hess) >= lambda_d(X^T X) lambda_{n-d+1}(Lambda) and
+    lambda_d(hess) <= lambda_1(X^T X) lambda_d(Lambda), so the lower bound
+    reads the (n-d+1)-th largest entry supremum over the d-th largest entry
+    infimum. Entry extremes are assumed jointly attainable (true for
+    logistic-type families, where all entries peak at the same point).
     """
     s = _mult_structure(target)
-    n, d = s.design.shape
     kappa_xtx = linalg.spectral_condition_number(s.design.T @ s.design).cond
-    sup_l1 = float(s.entry_sup.max())
-    inf_ld = float(s.entry_inf.min())
-    sup_lk = float(np.sort(s.entry_sup)[::-1][n - d])  # (n-d+1)-th largest
-    lower = sup_lk / (inf_ld * kappa_xtx)
-    upper = kappa_xtx * sup_l1 / inf_ld
+    sup_l1, inf_ld, sup_lk, inf_lambda_d = _entry_order_stats(s)
     return BoundReport(
         kind="Prop3",
-        value=upper,
-        lower=lower,
+        value=kappa_xtx * sup_l1 / inf_ld,
+        lower=sup_lk / (inf_lambda_d * kappa_xtx),
         inputs={
             "kappa_xtx": kappa_xtx,
             "sup_lambda1": sup_l1,
@@ -483,11 +401,7 @@ def mult_dalalyan(target: DifferentiableTarget) -> BoundReport:
     in mult_kappa_bounds.
     """
     s = _mult_structure(target)
-    n, d = s.design.shape
-    sup_l1 = float(s.entry_sup.max())
-    inf_ld = float(s.entry_inf.min())
-    sup_lk = float(np.sort(s.entry_sup)[::-1][n - d])
-    inf_lambda_d = float(np.sort(s.entry_inf)[::-1][d - 1])  # d-th largest
+    sup_l1, inf_ld, sup_lk, inf_lambda_d = _entry_order_stats(s)
     c, big_c = s.lambda_extremes
     return BoundReport(
         kind="Prop5",

@@ -289,13 +289,12 @@ def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
         preconditioners.diag_covariance_preconditioner(sigma, label="diag"),
     ]
     result = ExperimentResult(experiment="counterproductive")
-    kappa = conditioning.condition_number(target)
     result.bound_rows.append(
         conditioning.BoundReport(
             kind="KappaSummary",
-            value=conditioning.kappa_after(target, arms[2]).value,
-            inputs={"kappa": kappa.value},
-            extras={"kappa_dense": conditioning.kappa_after(target, arms[1]).value},
+            value=conditioning.kappa_after(target, arms[2]),
+            inputs={"kappa": conditioning.condition_number(target)},
+            extras={"kappa_dense": conditioning.kappa_after(target, arms[1])},
         )
     )
     sqrt_sigma = linalg.sym_sqrt(sigma)
@@ -337,7 +336,7 @@ def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
                     kind="KappaSummary",
                     value=1.0 + lam / sig_d,  # kappa_L for L = A^{1/2}
                     inputs={"d": d, "n": n,
-                            "kappa": conditioning.condition_number(target).value},
+                            "kappa": conditioning.condition_number(target)},
                 )
             )
             step0 = d ** (-1.0 / 6.0)
@@ -435,13 +434,13 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                     arms.append((label, None))
             arms += [("mode", mode_precond), ("none", identity), ("design", design)]
 
-            kappa = conditioning.condition_number(target)
             dal = conditioning.mult_dalalyan(target)
             mode_bound = conditioning.mult_mode_bound(target, beta_star)
             result.bound_rows.append(conditioning.BoundReport(
                 kind="KappaSummary",
                 value=dal.extras["corollary_value"],
-                inputs={"d": d, "mu": mu, "kappa": kappa.value},
+                inputs={"d": d, "mu": mu,
+                        "kappa": conditioning.condition_number(target)},
                 extras={"mode_bound": mode_bound.value},
             ))
 
@@ -487,8 +486,9 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
         precond = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
         probes = conditioning.default_probes(target, precond, seed=seed,
                                              n_chain=32, n_local=32)
-        eps_norm = conditioning.measure_eps_norm(target, precond, probes)
-        kappa_l = conditioning.kappa_after(target, precond).value
+        eps_norm = conditioning.measure_eps_norm(
+            conditioning.hessian_stack(target, probes), precond)
+        kappa_l = conditioning.kappa_after(target, precond)
         rep3 = conditioning.bound_thm3(
             eps_norm, math.sqrt(precond.sigma_sq[0]), target.envelope.m
         )
@@ -505,10 +505,10 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
         x_mat, y, w = targets.synth_binomial_data(d, n, float(rng.uniform(0, 3)), seed)
         target = targets.binomial_gprior_target(x_mat, y, w, BINOMIAL_LAMBDA / n)
         sandwich = conditioning.mult_kappa_bounds(target)
-        kappa = conditioning.condition_number(target).value
+        kappa = conditioning.condition_number(target)
         dal = conditioning.mult_dalalyan(target)
         design = preconditioners.design_preconditioner(x_mat)
-        kappa_design = conditioning.kappa_after(target, design).value
+        kappa_design = conditioning.kappa_after(target, design)
         ok = (
             sandwich.lower <= kappa * (1 + 1e-8)
             and dal.lower <= kappa_design * (1 + 1e-8)
@@ -526,7 +526,7 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
         if abs(np.linalg.det(raw)) < 1e-3:
             raw += np.eye(2)
         precond = preconditioners.from_matrix(raw, label=f"random-{k}")
-        kappa_l = conditioning.kappa_after(target, precond).value
+        kappa_l = conditioning.kappa_after(target, precond)
         floor = conditioning.hard_target_lower(precond, 1.0, 4.0)
         result.rows.append(_bound_row(2, 0, "cosine-floor", k, 0, kappa_l, floor.value,
                                       kappa_l >= floor.value * (1 - 1e-8)))
@@ -632,25 +632,19 @@ def analyze(
     xi: float = 1.0,
 ) -> list[conditioning.BoundReport]:
     """Condition numbers, measured constants, and every applicable bound."""
-    reports: list[conditioning.BoundReport] = []
-    kappa = conditioning.condition_number(target)
-    kappa_l = conditioning.kappa_after(target, precond)
-    reports.append(conditioning.BoundReport(
-        kind="KappaSummary", value=kappa_l.value,
-        inputs={"kappa": kappa.value,
-                "kappa_provenance": kappa.provenance,
-                "kappa_l_provenance": kappa_l.provenance},
-        certified=kappa.exact and kappa_l.exact,
-    ))
+    reports = [conditioning.BoundReport(
+        kind="KappaSummary", value=conditioning.kappa_after(target, precond),
+        inputs={"kappa": conditioning.condition_number(target)},
+    )]
     probes = conditioning.default_probes(target, precond, seed=seed,
                                          n_chain=64, n_local=64)
     # one Hessian per probe, shared by every measured constant
-    hs = conditioning._hessian_stack(target, probes)
-    eps_eig = conditioning._eps_eigenvalue(hs, precond)
-    eps_norm = conditioning._eps_norm(hs, precond)
+    hs = conditioning.hessian_stack(target, probes)
+    eps_eig = conditioning.measure_eps_eigenvalue(hs, precond)
+    eps_norm = conditioning.measure_eps_norm(hs, precond)
     sigmas = np.sqrt(precond.sigma_sq)
     try:
-        delta = conditioning._delta_eigenvector(hs, precond)
+        delta = conditioning.measure_delta_eigenvector(hs, precond)
         reports.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
     except PrecondError:
         pass
@@ -662,11 +656,14 @@ def analyze(
     m = target.envelope.m if target.envelope is not None else None
     if m is not None:
         reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), m))
-        eps_prime = conditioning._eps_hessian_variation(hs[:16], m)
+        eps_prime = conditioning.measure_eps_hessian_variation(hs[:16], m)
         reports.append(conditioning.improved_gap_threshold(
             eps_prime, eps_norm, float(sigmas[0]), m, xi))
+        # the sandwich holds at proposal variance xi / (M d) with kappa = M/m,
+        # so it reads both from the scalar envelope
         reports.append(conditioning.rwm_gap_bounds(
-            kappa.value, target.dim, xi, eps_prime, big_m=target.envelope.big_m))
+            target.envelope.kappa, target.dim, xi, eps_prime,
+            big_m=target.envelope.big_m))
     if isinstance(target.structure, targets.MultiplicativeStructure):
         reports.append(conditioning.mult_kappa_bounds(target))
         reports.append(conditioning.mult_dalalyan(target))

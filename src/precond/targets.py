@@ -8,7 +8,7 @@ downstream condition-number computations exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -20,17 +20,10 @@ from .errors import DefinitenessError, PrecondError, SingularMatrixError
 
 @dataclass(frozen=True)
 class SmoothnessEnvelope:
-    """Strong-convexity / smoothness constants m I <= hessian <= M I.
-
-    ``m_attained`` / ``big_m_attained`` flag whether the constant is attained
-    at some point or only approached as an infimum/supremum; limiting extremes
-    are still valid sup/inf values for condition-number purposes.
-    """
+    """Strong-convexity / smoothness constants m I <= hessian <= M I."""
 
     m: float
     big_m: float
-    m_attained: bool = True
-    big_m_attained: bool = True
 
     def __post_init__(self):
         if not (0 < self.m <= self.big_m):
@@ -80,8 +73,8 @@ class DifferentiableTarget:
     (K, d) gradients, which is how chains run in lock-step.
 
     ``hessian_lower`` / ``hessian_upper`` are Loewner-order extremes of the
-    Hessian family (attained or limiting); when present they make post-
-    preconditioning condition numbers computable in closed form.
+    Hessian family (attained or limiting); when present they give the
+    condition numbers before and after preconditioning in closed form.
     """
 
     dim: int
@@ -92,11 +85,9 @@ class DifferentiableTarget:
     structure: Structure = None
     exact_covariance: Optional[np.ndarray] = None
     exact_mode: Optional[np.ndarray] = None
-    hessian_constant: bool = False
     hessian_lower: Optional[np.ndarray] = None
     hessian_upper: Optional[np.ndarray] = None
     kind: str = "generic"
-    params: dict = field(default_factory=dict)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
@@ -143,7 +134,6 @@ def gaussian_target(mu: np.ndarray, sigma: np.ndarray) -> DifferentiableTarget:
         ),
         exact_covariance=sigma,
         exact_mode=mu,
-        hessian_constant=True,
         hessian_lower=precision,
         hessian_upper=precision,
         kind="gaussian",
@@ -187,7 +177,6 @@ def cosine_hard_target(m: float, big_m: float) -> DifferentiableTarget:
         hessian_lower=m * np.eye(2),
         hessian_upper=big_m * np.eye(2),
         kind="cosine",
-        params={"m": m, "M": big_m},
     )
 
 
@@ -239,14 +228,11 @@ def hyperbolic_regression_target(
         envelope=SmoothnessEnvelope(
             m=xtx_eig.values[-1] / sigma2,
             big_m=xtx_eig.values[0] / sigma2 + lam,
-            m_attained=False,   # infimum as ||beta|| -> infinity
-            big_m_attained=True,  # at beta = 0
         ),
         structure=AdditiveStructure(base=a_mat, varying=varying),
         hessian_lower=a_mat,
         hessian_upper=a_mat + lam * np.eye(d),
         kind="hyperbolic",
-        params={"sigma2": sigma2, "lambda": lam},
     )
 
 
@@ -267,7 +253,6 @@ def binomial_gprior_target(
     x_mat = np.asarray(x_mat, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    n, d = x_mat.shape
     if np.any(w <= 0):
         raise PrecondError("all weights must be positive")
     r = float(lambda_over_n)
@@ -302,15 +287,13 @@ def binomial_gprior_target(
     entry_inf = w * r
     entry_sup = w * (0.25 + r)
     return DifferentiableTarget(
-        dim=d,
+        dim=x_mat.shape[1],
         potential=potential,
         gradient=gradient,
         hessian=hessian,
         envelope=SmoothnessEnvelope(
             m=r * w.min() * xtx_eig.values[-1],
             big_m=(0.25 + r) * w.max() * xtx_eig.values[0],
-            m_attained=False,
-            big_m_attained=False,
         ),
         structure=MultiplicativeStructure(
             design=x_mat,
@@ -321,7 +304,6 @@ def binomial_gprior_target(
         hessian_lower=x_mat.T @ (entry_inf[:, None] * x_mat),
         hessian_upper=x_mat.T @ (entry_sup[:, None] * x_mat),
         kind="binomial",
-        params={"lambda_over_n": r, "n": n},
     )
 
 

@@ -52,13 +52,7 @@ def pushforward(
         lo_eigs = np.linalg.eigvalsh(h_lo)
         up_eigs = np.linalg.eigvalsh(h_up)
         if lo_eigs[0] > 0:
-            base_env = target.envelope
-            envelope = SmoothnessEnvelope(
-                m=float(lo_eigs[0]),
-                big_m=float(up_eigs[-1]),
-                m_attained=base_env.m_attained if base_env else True,
-                big_m_attained=base_env.big_m_attained if base_env else True,
-            )
+            envelope = SmoothnessEnvelope(m=float(lo_eigs[0]), big_m=float(up_eigs[-1]))
     cov = None
     if target.exact_covariance is not None:
         cov = precond.l @ target.exact_covariance @ precond.l
@@ -74,11 +68,9 @@ def pushforward(
         envelope=envelope,
         exact_covariance=cov,
         exact_mode=mode,
-        hessian_constant=target.hessian_constant,
         hessian_lower=h_lo,
         hessian_upper=h_up,
         kind=target.kind,
-        params=dict(target.params),
     )
 
 

@@ -601,24 +601,21 @@ def test_measure_row_marks_only_zero_variance_stuck():
 # -- analyze with one Hessian stack ----------------------------------------------
 
 def _analyze_from_public_measures(target, precond, seed=0, xi=1.0):
-    """analyze built from the public measure_* calls, each evaluating its own Hessians."""
-    reports = []
-    kappa = conditioning.condition_number(target)
-    kappa_l = conditioning.kappa_after(target, precond)
-    reports.append(conditioning.BoundReport(
-        kind="KappaSummary", value=kappa_l.value,
-        inputs={"kappa": kappa.value,
-                "kappa_provenance": kappa.provenance,
-                "kappa_l_provenance": kappa_l.provenance},
-        certified=kappa.exact and kappa_l.exact,
-    ))
+    """analyze with each measure_* call evaluating its own Hessian stack."""
+    reports = [conditioning.BoundReport(
+        kind="KappaSummary", value=conditioning.kappa_after(target, precond),
+        inputs={"kappa": conditioning.condition_number(target)},
+    )]
     probes = conditioning.default_probes(target, precond, seed=seed,
                                          n_chain=64, n_local=64)
-    eps_eig = conditioning.measure_eps_eigenvalue(target, precond, probes)
-    eps_norm = conditioning.measure_eps_norm(target, precond, probes)
+    eps_eig = conditioning.measure_eps_eigenvalue(
+        conditioning.hessian_stack(target, probes), precond)
+    eps_norm = conditioning.measure_eps_norm(
+        conditioning.hessian_stack(target, probes), precond)
     sigmas = np.sqrt(precond.sigma_sq)
     try:
-        delta = conditioning.measure_delta_eigenvector(target, precond, probes)
+        delta = conditioning.measure_delta_eigenvector(
+            conditioning.hessian_stack(target, probes), precond)
         reports.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
     except PrecondError:
         pass
@@ -630,11 +627,15 @@ def _analyze_from_public_measures(target, precond, seed=0, xi=1.0):
     m = target.envelope.m if target.envelope is not None else None
     if m is not None:
         reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), m))
-        eps_prime = conditioning.measure_eps_hessian_variation(target, probes[:16], m)
+        eps_prime = conditioning.measure_eps_hessian_variation(
+            conditioning.hessian_stack(target, probes[:16]), m)
         reports.append(conditioning.improved_gap_threshold(
             eps_prime, eps_norm, float(sigmas[0]), m, xi))
+        # the sandwich holds at proposal variance xi / (M d) with kappa = M/m,
+        # so it reads both from the scalar envelope
         reports.append(conditioning.rwm_gap_bounds(
-            kappa.value, target.dim, xi, eps_prime, big_m=target.envelope.big_m))
+            target.envelope.kappa, target.dim, xi, eps_prime,
+            big_m=target.envelope.big_m))
     if isinstance(target.structure, targets.MultiplicativeStructure):
         reports.append(conditioning.mult_kappa_bounds(target))
         reports.append(conditioning.mult_dalalyan(target))

@@ -69,7 +69,6 @@ def test_hyperbolic_envelope_gap_is_lambda():
     t, x_mat, lam = _hyperbolic_instance()
     xtx_norm = np.linalg.eigvalsh(x_mat.T @ x_mat)[-1]
     assert t.envelope.big_m - xtx_norm == pytest.approx(lam)
-    assert not t.envelope.m_attained and t.envelope.big_m_attained
 
 
 def test_hyperbolic_finite_diff():
