@@ -2,8 +2,10 @@
 
 Both condition numbers take one route, the Loewner pair H_lo <= hessian(x) <=
 H_up that every target family carries, whose ends are attained or limiting
-members of the Hessian family: kappa = lambda_max(H_up) / lambda_min(H_lo),
-and kappa_L is the same ratio for L^{-1} H_lo L^{-1} and L^{-1} H_up L^{-1}.
+members of the Hessian family: kappa = M/m with m = lambda_min(H_lo) and
+M = lambda_max(H_up), the target's envelope that Thm3, the gap threshold and
+the gap sandwich read too, and kappa_L is the same ratio for L^{-1} H_lo L^{-1}
+and L^{-1} H_up L^{-1}.
 A target without the pair raises BoundInapplicableError, since a search over
 states could only under-state kappa.
 Assumption constants (epsilon, delta, gamma) are measured over probe sets and
@@ -31,7 +33,12 @@ from .errors import (
     PrecondError,
 )
 from .preconditioners import Preconditioner
-from .targets import DifferentiableTarget, MultiplicativeStructure
+from .targets import (
+    DifferentiableTarget,
+    MultiplicativeStructure,
+    SmoothnessEnvelope,
+    loewner_envelope,
+)
 
 # Explicit constant of the RWM spectral-gap lower bound.
 RWM_GAP_CONSTANT = 1.972e-4
@@ -94,36 +101,26 @@ def _convex_eigvalsh(h_sym: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _kappa(h_lo: np.ndarray, h_up: np.ndarray) -> float:
-    """lambda_max(sym H_up) / lambda_min(sym H_lo) of a Loewner pair H_lo <= H_up."""
-    hi = np.linalg.eigvalsh(_symmetrised(h_up))[-1]
-    lo = np.linalg.eigvalsh(_symmetrised(h_lo))[0]
-    if lo <= 0:
-        raise AssumptionViolationError(
-            f"Hessian lower extreme is not positive definite ({lo:.3e})"
-        )
-    return float(hi / lo)
-
-
-def _loewner_pair(target: DifferentiableTarget) -> tuple[np.ndarray, np.ndarray]:
-    if target.hessian_lower is None or target.hessian_upper is None:
+def _envelope(target: DifferentiableTarget) -> SmoothnessEnvelope:
+    if target.envelope is None:
         raise BoundInapplicableError(
             f"target {target.kind!r} carries no Hessian envelopes, so its "
             "condition number has no certified value"
         )
-    return target.hessian_lower, target.hessian_upper
+    return target.envelope
 
 
 def condition_number(target: DifferentiableTarget) -> float:
-    """kappa = sup ||hessian|| * sup ||hessian^{-1}||, from the Hessian envelopes."""
-    return _kappa(*_loewner_pair(target))
+    """kappa = sup ||hessian|| * sup ||hessian^{-1}|| = M/m of the target's envelope."""
+    return _envelope(target).kappa
 
 
 def kappa_after(target: DifferentiableTarget, precond: Preconditioner) -> float:
     """kappa_L = sup ||L^{-1} hess L^{-1}|| * sup ||L hess^{-1} L||."""
-    h_lo, h_up = _loewner_pair(target)
+    _envelope(target)
     linv = precond.inv
-    return _kappa(linv @ h_lo @ linv, linv @ h_up @ linv)
+    return loewner_envelope(linv @ target.hessian_lower @ linv,
+                            linv @ target.hessian_upper @ linv).kappa
 
 
 def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundReport:
@@ -402,13 +399,13 @@ def mult_dalalyan(target: DifferentiableTarget) -> BoundReport:
     """
     s = _mult_structure(target)
     sup_l1, inf_ld, sup_lk, inf_lambda_d = _entry_order_stats(s)
-    c, big_c = s.lambda_extremes
+    value = sup_l1 / inf_ld  # C/c: the corollary's ratio is the bound itself
     return BoundReport(
         kind="Prop5",
-        value=sup_l1 / inf_ld,
+        value=value,
         lower=sup_lk / inf_lambda_d,
-        inputs={"sup_lambda1": sup_l1, "inf_lambdad": inf_ld, "c": c, "C": big_c},
-        extras={"corollary_value": big_c / c},
+        inputs={"sup_lambda1": sup_l1, "inf_lambdad": inf_ld, "c": inf_ld, "C": sup_l1},
+        extras={"corollary_value": value},
     )
 
 

@@ -585,8 +585,12 @@ def load_model_file(path: str) -> targets.DifferentiableTarget:
             if len(parts) != 3:
                 raise ModelFileError("matrix header must be 'matrix <name> <rows>:'",
                                      line=idx + 1)
-            name, n_rows = parts[1], int(parts[2])
-            mat, idx = _parse_matrix(lines, idx + 1, n_rows)
+            name, count = parts[1], parts[2]
+            if not count.isdecimal() or int(count) < 1:
+                raise ModelFileError(
+                    f"matrix row count must be a positive integer, got {count!r}",
+                    line=idx + 1)
+            mat, idx = _parse_matrix(lines, idx + 1, int(count))
             matrices[name] = mat
         elif key.startswith("vector "):
             name = key.split()[1]
@@ -653,17 +657,16 @@ def analyze(
             eps_norm, precond.eigengap, float(sigmas[-1]), sigmas))
     except PrecondError:
         pass
-    m = target.envelope.m if target.envelope is not None else None
-    if m is not None:
-        reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), m))
-        eps_prime = conditioning.measure_eps_hessian_variation(hs[:16], m)
+    env = target.envelope
+    if env is not None:
+        reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), env.m))
+        eps_prime = conditioning.measure_eps_hessian_variation(hs[:16], env.m)
         reports.append(conditioning.improved_gap_threshold(
-            eps_prime, eps_norm, float(sigmas[0]), m, xi))
+            eps_prime, eps_norm, float(sigmas[0]), env.m, xi))
         # the sandwich holds at proposal variance xi / (M d) with kappa = M/m,
-        # so it reads both from the scalar envelope
+        # the kappa of KappaSummary
         reports.append(conditioning.rwm_gap_bounds(
-            target.envelope.kappa, target.dim, xi, eps_prime,
-            big_m=target.envelope.big_m))
+            env.kappa, target.dim, xi, eps_prime, big_m=env.big_m))
     if isinstance(target.structure, targets.MultiplicativeStructure):
         reports.append(conditioning.mult_kappa_bounds(target))
         reports.append(conditioning.mult_dalalyan(target))

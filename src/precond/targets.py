@@ -1,21 +1,29 @@
 """Concrete target distributions with potentials, gradients and Hessians.
 
 Each constructor returns a :class:`DifferentiableTarget` carrying analytic
-derivatives, a smoothness envelope (m, M) where one is known, and structural
-metadata (additive A + B(x) or multiplicative X^T Lambda(x) X Hessians) that
-downstream condition-number computations exploit.
+derivatives and the Loewner pair H_lo <= hessian(x) <= H_up of its Hessian
+family. The curvature constants m, M and kappa = M/m that the bounds are
+stated in are read from that pair (:attr:`DifferentiableTarget.envelope`), so
+each family states its curvature once. The binomial family also exposes its
+multiplicative X^T Lambda(x) X Hessian structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from . import linalg
-from .errors import DefinitenessError, PrecondError, SingularMatrixError
+from .errors import (
+    AssumptionViolationError,
+    DefinitenessError,
+    PrecondError,
+    SingularMatrixError,
+)
 
 
 @dataclass(frozen=True)
@@ -25,21 +33,23 @@ class SmoothnessEnvelope:
     m: float
     big_m: float
 
-    def __post_init__(self):
-        if not (0 < self.m <= self.big_m):
-            raise PrecondError(f"invalid envelope m={self.m}, M={self.big_m}")
-
     @property
     def kappa(self) -> float:
         return self.big_m / self.m
 
 
-@dataclass(frozen=True)
-class AdditiveStructure:
-    """Hessian of the form A + B(x) with ||B(x)|| uniformly small."""
+def loewner_envelope(h_lo: np.ndarray, h_up: np.ndarray) -> SmoothnessEnvelope:
+    """(m, M) = (lambda_min(sym H_lo), lambda_max(sym H_up)) of a Loewner pair.
 
-    base: np.ndarray                          # A, symmetric
-    varying: Callable[[np.ndarray], np.ndarray]  # x -> B(x), symmetric
+    Raises AssumptionViolationError when H_lo is not positive definite.
+    """
+    big_m = np.linalg.eigvalsh(0.5 * (h_up + h_up.T))[-1]
+    m = np.linalg.eigvalsh(0.5 * (h_lo + h_lo.T))[0]
+    if m <= 0:
+        raise AssumptionViolationError(
+            f"Hessian lower extreme is not positive definite ({m:.3e})"
+        )
+    return SmoothnessEnvelope(m=float(m), big_m=float(big_m))
 
 
 @dataclass(frozen=True)
@@ -55,14 +65,6 @@ class MultiplicativeStructure:
     entry_inf: np.ndarray
     entry_sup: np.ndarray
 
-    @property
-    def lambda_extremes(self) -> tuple[float, float]:
-        """(c, C) = (inf of the smallest entry, sup of the largest entry)."""
-        return float(self.entry_inf.min()), float(self.entry_sup.max())
-
-
-Structure = Union[AdditiveStructure, MultiplicativeStructure, None]
-
 
 @dataclass(frozen=True)
 class DifferentiableTarget:
@@ -74,20 +76,27 @@ class DifferentiableTarget:
 
     ``hessian_lower`` / ``hessian_upper`` are Loewner-order extremes of the
     Hessian family (attained or limiting); when present they give the
-    condition numbers before and after preconditioning in closed form.
+    envelope (m, M) and the condition numbers before and after
+    preconditioning in closed form.
     """
 
     dim: int
     potential: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    envelope: Optional[SmoothnessEnvelope] = None
-    structure: Structure = None
+    structure: Optional[MultiplicativeStructure] = None
     exact_covariance: Optional[np.ndarray] = None
     exact_mode: Optional[np.ndarray] = None
     hessian_lower: Optional[np.ndarray] = None
     hessian_upper: Optional[np.ndarray] = None
     kind: str = "generic"
+
+    @cached_property
+    def envelope(self) -> Optional[SmoothnessEnvelope]:
+        """(m, M) of the Loewner pair; None for a target without one."""
+        if self.hessian_lower is None or self.hessian_upper is None:
+            return None
+        return loewner_envelope(self.hessian_lower, self.hessian_upper)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
@@ -98,6 +107,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray):
 def _apply(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """mat @ x for a state (d,), and for each row of a batch (K, d)."""
     return mat @ x if x.ndim == 1 else x @ mat.T
+
+
+def _logistic(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)); where exp(-t) overflows to inf this is 0, silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
 
 
 def gaussian_target(mu: np.ndarray, sigma: np.ndarray) -> DifferentiableTarget:
@@ -129,9 +144,6 @@ def gaussian_target(mu: np.ndarray, sigma: np.ndarray) -> DifferentiableTarget:
         potential=potential,
         gradient=gradient,
         hessian=hessian,
-        envelope=SmoothnessEnvelope(
-            m=1.0 / eig.values[0], big_m=1.0 / eig.values[-1]
-        ),
         exact_covariance=sigma,
         exact_mode=mu,
         hessian_lower=precision,
@@ -172,7 +184,6 @@ def cosine_hard_target(m: float, big_m: float) -> DifferentiableTarget:
         potential=potential,
         gradient=gradient,
         hessian=hessian,
-        envelope=SmoothnessEnvelope(m=m, big_m=big_m),
         exact_mode=np.zeros(2),
         hessian_lower=m * np.eye(2),
         hessian_upper=big_m * np.eye(2),
@@ -213,23 +224,15 @@ def hyperbolic_regression_target(
         return ((_apply(xtx, beta) - xty) / sigma2
                 + lam * beta / np.sqrt(1.0 + beta * beta))
 
-    def varying(beta):
-        beta = np.asarray(beta, dtype=float)
-        return lam * np.diag((1.0 + beta * beta) ** -1.5)
-
     def hessian(beta):
-        return a_mat + varying(beta)
+        beta = np.asarray(beta, dtype=float)
+        return a_mat + lam * np.diag((1.0 + beta * beta) ** -1.5)
 
     return DifferentiableTarget(
         dim=d,
         potential=potential,
         gradient=gradient,
         hessian=hessian,
-        envelope=SmoothnessEnvelope(
-            m=xtx_eig.values[-1] / sigma2,
-            big_m=xtx_eig.values[0] / sigma2 + lam,
-        ),
-        structure=AdditiveStructure(base=a_mat, varying=varying),
         hessian_lower=a_mat,
         hessian_upper=a_mat + lam * np.eye(d),
         kind="hyperbolic",
@@ -256,6 +259,8 @@ def binomial_gprior_target(
     if np.any(w <= 0):
         raise PrecondError("all weights must be positive")
     r = float(lambda_over_n)
+    if not r > 0:
+        raise PrecondError(f"lambda_over_n must be positive, got {r}")
     xtx = x_mat.T @ x_mat
     xtx_eig = linalg.sym_eigen(xtx)
     if xtx_eig.values[-1] <= linalg.DEFINITENESS_RTOL * xtx_eig.values[0]:
@@ -272,13 +277,11 @@ def binomial_gprior_target(
     def gradient(beta):
         beta = np.asarray(beta, dtype=float)
         t = _apply(x_mat, beta)
-        p = 1.0 / (1.0 + np.exp(-t))
-        return _apply(x_mat.T, w * (p - y)) + _apply(prior_prec, beta)
+        return _apply(x_mat.T, w * (_logistic(t) - y)) + _apply(prior_prec, beta)
 
     def lam_diag(beta):
         beta = np.asarray(beta, dtype=float)
-        t = x_mat @ beta
-        p = 1.0 / (1.0 + np.exp(-t))
+        p = _logistic(x_mat @ beta)
         return w * (p * (1.0 - p) + r)
 
     def hessian(beta):
@@ -291,10 +294,6 @@ def binomial_gprior_target(
         potential=potential,
         gradient=gradient,
         hessian=hessian,
-        envelope=SmoothnessEnvelope(
-            m=r * w.min() * xtx_eig.values[-1],
-            big_m=(0.25 + r) * w.max() * xtx_eig.values[0],
-        ),
         structure=MultiplicativeStructure(
             design=x_mat,
             diag=lam_diag,
@@ -361,7 +360,7 @@ def synth_binomial_data(
     rng = np.random.default_rng(seed)
     x_mat = rng.standard_normal((n, d)) + mu
     beta0 = rng.standard_normal(d)
-    p = 1.0 / (1.0 + np.exp(-(x_mat @ beta0)))
+    p = _logistic(x_mat @ beta0)
     w = np.arange(1, n + 1, dtype=float) ** 2
     s = rng.binomial(w.astype(np.int64), p)
     y = s / w

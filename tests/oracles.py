@@ -13,7 +13,7 @@ import numpy as np
 from precond.errors import DimensionMismatchError, NonFiniteInputError, PrecondError
 from precond.preconditioners import Preconditioner
 from precond.samplers import ChainConfig, Trace, _init_state, adapt_step_size
-from precond.targets import DifferentiableTarget, SmoothnessEnvelope
+from precond.targets import DifferentiableTarget
 
 
 def pushforward(
@@ -47,12 +47,6 @@ def pushforward(
 
     h_lo = transform_h(target.hessian_lower)
     h_up = transform_h(target.hessian_upper)
-    envelope = None
-    if h_lo is not None and h_up is not None:
-        lo_eigs = np.linalg.eigvalsh(h_lo)
-        up_eigs = np.linalg.eigvalsh(h_up)
-        if lo_eigs[0] > 0:
-            envelope = SmoothnessEnvelope(m=float(lo_eigs[0]), big_m=float(up_eigs[-1]))
     cov = None
     if target.exact_covariance is not None:
         cov = precond.l @ target.exact_covariance @ precond.l
@@ -65,7 +59,6 @@ def pushforward(
         potential=potential,
         gradient=gradient,
         hessian=hessian,
-        envelope=envelope,
         exact_covariance=cov,
         exact_mode=mode,
         hessian_lower=h_lo,

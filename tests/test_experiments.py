@@ -344,6 +344,9 @@ def test_analyze_fixture_with_diag(tmp_path):
     assert kinds[0] == "KappaSummary"
     assert round(reports[0].value, -2) == 8100.0
     assert "Thm3" in kinds and "GapSandwich" in kinds and "DiagDominance" in kinds
+    # one curvature record: the gap sandwich reads KappaSummary's kappa
+    gap = reports[kinds.index("GapSandwich")]
+    assert gap.inputs["kappa"] == reports[0].inputs["kappa"]
     # every theorem bound must dominate the exact kappa_L
     for rep in reports:
         if rep.kind in ("Thm1", "Thm2", "Thm3"):
@@ -360,6 +363,14 @@ def test_cli_analyze_ok(tmp_path, capsys):
     assert "KappaSummary" in out
     data = json.loads((tmp_path / "out" / "analyze_bounds.json").read_text())
     assert data[0]["kind"] == "KappaSummary"
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "two"])
+def test_cli_analyze_bad_matrix_row_count_names_its_line(tmp_path, capsys, count):
+    path = _write(tmp_path, "m.txt", f"model: gaussian\n\nmatrix sigma {count}:\n1.0\n")
+    assert cli.main(["analyze", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: matrix row count") and repr(count) in err
 
 
 def test_cli_analyze_missing_file(tmp_path, capsys):

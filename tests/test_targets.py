@@ -1,7 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from precond import targets
+from precond import conditioning, targets
 from precond.errors import DefinitenessError, PrecondError
 
 import oracles
@@ -61,7 +64,7 @@ def _hyperbolic_instance(seed=0, d=3, n=12):
 
 def test_hyperbolic_structure_at_zero():
     t, x_mat, lam = _hyperbolic_instance()
-    b0 = t.structure.varying(np.zeros(3))
+    b0 = t.hessian(np.zeros(3)) - t.hessian_lower
     assert np.allclose(b0, lam * np.eye(3))
 
 
@@ -85,9 +88,9 @@ def test_hyperbolic_additive_identity_and_bounds():
     rng = np.random.default_rng(3)
     for _ in range(10):
         beta = 2 * rng.standard_normal(3)
-        h = t.hessian(beta)
-        assert np.abs(h - t.structure.base - t.structure.varying(beta)).max() <= 1e-10
-        ratios = np.diag(t.structure.varying(beta)) / lam
+        varying = t.hessian(beta) - t.hessian_lower
+        assert np.abs(varying - np.diag(np.diag(varying))).max() <= 1e-10
+        ratios = np.diag(varying) / lam
         assert np.all((ratios > 0) & (ratios <= 1))
 
 
@@ -104,11 +107,12 @@ def test_binomial_quarter_at_zero():
 
 
 def test_binomial_kappa_formula():
+    # H_lo = r X^T W X and H_up = (1/4 + r) X^T W X, with r = lam / n
     t, x_mat, w = _binomial_instance()
     n = x_mat.shape[0]
     lam = 0.01
-    xtx = np.linalg.eigvalsh(x_mat.T @ x_mat)
-    expect = (n / 4 + lam) / lam * (w.max() / w.min()) * (xtx[-1] / xtx[0])
+    xwx = np.linalg.eigvalsh(x_mat.T @ (w[:, None] * x_mat))
+    expect = (n / 4 + lam) / lam * (xwx[-1] / xwx[0])
     assert t.envelope.kappa == pytest.approx(expect, rel=1e-12)
 
 
@@ -138,6 +142,9 @@ def test_binomial_multiplicative_identity_and_entry_bounds():
 
 def test_binomial_rejects_bad_weights():
     x_mat, y, w = targets.synth_binomial_data(2, 6, 0.0, 0)
+    for r in (0.0, -0.01):  # H_lo = r X^T W X must be positive definite
+        with pytest.raises(PrecondError, match="lambda_over_n must be positive"):
+            targets.binomial_gprior_target(x_mat, y, w, r)
     w[0] = 0.0
     with pytest.raises(PrecondError):
         targets.binomial_gprior_target(x_mat, y, w, 0.01)
@@ -188,6 +195,17 @@ def test_envelope_respected_at_probes():
             vals = np.linalg.eigvalsh(t.hessian(x))
             assert vals[0] >= t.envelope.m - tol
             assert vals[-1] <= t.envelope.big_m + tol
+    # far out along v the binomial Hessian tends to H_lo, where m is attained
+    t, x_mat, _ = _binomial_instance(seed=1)
+    tol = 1e-8 * t.envelope.big_m
+    for _ in range(20):
+        v = rng.standard_normal(t.dim)
+        v *= 60.0 / np.abs(x_mat @ v).min()  # every |X_i^T v| >= 60
+        for radius in (0.1, 1.0, 100.0):
+            vals = np.linalg.eigvalsh(t.hessian(radius * v))
+            assert vals[0] >= t.envelope.m * (1 - 1e-10)
+            assert vals[-1] <= t.envelope.big_m + tol
+        assert vals[0] <= t.envelope.m * (1 + 1e-10)
 
 
 def test_hessian_envelope_matrices_are_loewner_bounds():
@@ -211,6 +229,15 @@ def test_hyperbolic_prior_sampler_matches_density():
     m1, _ = quad(lambda b: np.sqrt(1 + b * b) * np.exp(-lam * np.sqrt(1 + b * b)), -30, 30)
     assert abs(draws.mean()) < 0.02
     assert np.sqrt(1 + draws**2).mean() == pytest.approx(m1 / z, abs=0.02)
+
+
+def test_binomial_far_states_raise_no_overflow_warning():
+    t, x_mat, _ = _binomial_instance(seed=3)
+    beta = -1000.0 * x_mat[0] / (x_mat[0] @ x_mat[0])  # X_0^T beta = -1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(1000) overflows to inf
+        arrays = [t.gradient(beta), t.hessian(beta), t.gradient(np.stack([beta, -beta]))]
+    assert all(np.all(np.isfinite(a)) for a in arrays)
 
 
 def _family_targets():
@@ -237,3 +264,14 @@ def test_batched_potential_and_gradient_match_rows(index):
         assert pots[k] == pytest.approx(t.potential(x), rel=1e-12, abs=0)
         np.testing.assert_allclose(grads[k], t.gradient(x), rtol=1e-12,
                                    atol=1e-12 * np.abs(t.gradient(x)).max())
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_envelope_is_read_from_the_loewner_pair(index):
+    t = _family_targets()[index]
+    sym = lambda h: 0.5 * (h + h.T)  # noqa: E731
+    assert t.envelope.m == np.linalg.eigvalsh(sym(t.hessian_lower))[0]
+    assert t.envelope.big_m == np.linalg.eigvalsh(sym(t.hessian_upper))[-1]
+    assert t.envelope.kappa == conditioning.condition_number(t)
+    # a target rebuilt with dataclasses.replace derives the same record
+    assert replace(t, potential=t.potential).envelope == t.envelope
