@@ -8,11 +8,13 @@ the gap sandwich read too, and kappa_L is the same ratio for L^{-1} H_lo L^{-1}
 and L^{-1} H_up L^{-1}.
 A target without the pair raises BoundInapplicableError, since a search over
 states could only under-state kappa.
-Assumption constants (epsilon, delta, gamma) are measured over probe sets and
-fed to the theorem bounds. Probe-measured constants are estimates, not
-certificates: a probe set can miss the state that attains a supremum, and an
+
+Closed form, hence certified: m, M, kappa, kappa_L and envelope_eps, Thm3's
+norm slack epsilon, which the pair bounds at every state.
+Probe estimates: the measure_* constants (epsilon, delta, epsilon') taken over
+a probe set. A probe set can miss the state that attains a supremum, and an
 under-estimated epsilon makes an upper bound on kappa too small, so a bound
-built from them is only as sound as its probes.
+built from them is an estimate, not a certificate.
 """
 
 from __future__ import annotations
@@ -121,6 +123,22 @@ def kappa_after(target: DifferentiableTarget, precond: Preconditioner) -> float:
     linv = precond.inv
     return loewner_envelope(linv @ target.hessian_lower @ linv,
                             linv @ target.hessian_upper @ linv).kappa
+
+
+def envelope_eps(target: DifferentiableTarget, precond: Preconditioner) -> float:
+    """An eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps at every state x.
+
+    H_lo <= hessian(x) <= H_up bounds lambda_max(hessian(x) - LL^T) by
+    lambda_max(H_up - LL^T) and lambda_max(LL^T - hessian(x)) by
+    lambda_max(LL^T - H_lo), so this is Thm3's epsilon as a certificate. It is
+    exact when an end of the pair is attained, as H_up is at beta = 0 for the
+    hyperbolic family, where L = A^{1/2} gives lambda / sigma_d^2.
+    """
+    _envelope(target)
+    llt = precond.llt()
+    above = np.linalg.eigvalsh(_symmetrised(target.hessian_upper - llt))[-1]
+    below = np.linalg.eigvalsh(_symmetrised(llt - target.hessian_lower))[-1]
+    return max(float(above), float(below), 0.0) / float(precond.sigma_sq[-1])
 
 
 def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundReport:

@@ -470,7 +470,14 @@ def _bound_row(d: int, n: int, arm: str, chain: int, seed: int,
 
 
 def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
-    """Measured-constant soundness sweep across randomized instances."""
+    """Soundness sweep of the certified bounds across randomized instances.
+
+    Each bound is checked against the exact kappa or kappa_L of its instance:
+    Thm3 on hyperbolic instances, with epsilon from the target's Loewner pair
+    in closed form (conditioning.envelope_eps), so no mode search or probe
+    chain runs; Prop3 and Prop5 on binomial instances; the hard-target floor
+    on random preconditioners of the cosine target.
+    """
     result = ExperimentResult(experiment="verify-bounds")
     n_instances = int(config.extra.get("n_instances", 100))
     n_l = int(config.extra.get("n_preconditioners", 50))
@@ -484,13 +491,10 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
         x_mat, y, lam = targets.synth_regression_data(d, max(n, d), seed)
         target = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
         precond = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
-        probes = conditioning.default_probes(target, precond, seed=seed,
-                                             n_chain=32, n_local=32)
-        eps_norm = conditioning.measure_eps_norm(
-            conditioning.hessian_stack(target, probes), precond)
         kappa_l = conditioning.kappa_after(target, precond)
         rep3 = conditioning.bound_thm3(
-            eps_norm, math.sqrt(precond.sigma_sq[0]), target.envelope.m
+            conditioning.envelope_eps(target, precond),
+            math.sqrt(precond.sigma_sq[0]), target.envelope.m,
         )
         result.rows.append(_bound_row(d, n, "hyperbolic-thm3", k, seed, kappa_l,
                                       rep3.value, kappa_l <= rep3.value * (1 + 1e-8)))
@@ -635,7 +639,11 @@ def analyze(
     seed: int = 0,
     xi: float = 1.0,
 ) -> list[conditioning.BoundReport]:
-    """Condition numbers, measured constants, and every applicable bound."""
+    """Condition numbers, measured constants, and every applicable bound.
+
+    Thm1-3, the gap threshold and the gap sandwich read constants measured at
+    probes, so they are marked estimated; the rest are certified.
+    """
     reports = [conditioning.BoundReport(
         kind="KappaSummary", value=conditioning.kappa_after(target, precond),
         inputs={"kappa": conditioning.condition_number(target)},
@@ -647,26 +655,30 @@ def analyze(
     eps_eig = conditioning.measure_eps_eigenvalue(hs, precond)
     eps_norm = conditioning.measure_eps_norm(hs, precond)
     sigmas = np.sqrt(precond.sigma_sq)
+    estimated = []
     try:
         delta = conditioning.measure_delta_eigenvector(hs, precond)
-        reports.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
+        estimated.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
     except PrecondError:
         pass
     try:
-        reports.append(conditioning.bound_thm2(
+        estimated.append(conditioning.bound_thm2(
             eps_norm, precond.eigengap, float(sigmas[-1]), sigmas))
     except PrecondError:
         pass
     env = target.envelope
     if env is not None:
-        reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), env.m))
+        estimated.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), env.m))
         eps_prime = conditioning.measure_eps_hessian_variation(hs[:16], env.m)
-        reports.append(conditioning.improved_gap_threshold(
+        estimated.append(conditioning.improved_gap_threshold(
             eps_prime, eps_norm, float(sigmas[0]), env.m, xi))
         # the sandwich holds at proposal variance xi / (M d) with kappa = M/m,
         # the kappa of KappaSummary
-        reports.append(conditioning.rwm_gap_bounds(
+        estimated.append(conditioning.rwm_gap_bounds(
             env.kappa, target.dim, xi, eps_prime, big_m=env.big_m))
+    for rep in estimated:
+        rep.certified = False
+    reports += estimated
     if isinstance(target.structure, targets.MultiplicativeStructure):
         reports.append(conditioning.mult_kappa_bounds(target))
         reports.append(conditioning.mult_dalalyan(target))

@@ -158,7 +158,7 @@ def symmetrize_preconditioner(l: np.ndarray) -> np.ndarray:
     if not np.isfinite(l).all():
         raise NonFiniteInputError("preconditioner contains non-finite entries")
     _, s, vt = np.linalg.svd(l)
-    if s[-1] < SINGULARITY_RTOL * s[0]:
+    if s[-1] <= SINGULARITY_RTOL * s[0]:  # <= so that the zero matrix fails too
         raise SingularMatrixError(
             f"preconditioner is rank deficient (singular values in "
             f"[{s[-1]:.3e}, {s[0]:.3e}])"

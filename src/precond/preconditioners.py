@@ -193,6 +193,8 @@ def from_csv(text: str) -> Preconditioner:
         dim = int(head[1])
     except ValueError as exc:
         raise ModelFileError(f"bad dimension {head[1]!r}", line=1) from exc
+    if dim < 1:
+        raise ModelFileError(f"dimension must be positive, got {head[1]!r}", line=1)
     if len(lines) != dim + 1:
         raise ModelFileError(
             f"expected {dim} matrix rows, found {len(lines) - 1}", line=len(lines)
@@ -208,9 +210,11 @@ def from_csv(text: str) -> Preconditioner:
             raise ModelFileError(f"bad entry in row: {exc}", line=k) from exc
     arr = np.array(rows)
     # Already-symmetric positive-definite matrices pass through untouched so
-    # that serialization round-trips byte for byte.
+    # that serialization round-trips byte for byte; the rest, singular ones
+    # among them, meet from_matrix's rank check.
     if np.array_equal(arr, arr.T) and np.isfinite(arr).all():
         precond = Preconditioner(l=arr, label=label)
-        if precond._spectrum.values[-1] > 0:
+        values = precond._spectrum.values
+        if values[-1] > linalg.SINGULARITY_RTOL * values[0]:
             return precond
     return from_matrix(arr, label=label)

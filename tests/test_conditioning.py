@@ -47,6 +47,8 @@ def test_kappa_without_hessian_extremes_is_inapplicable():
         conditioning.condition_number(t)
     with pytest.raises(BoundInapplicableError, match="no Hessian envelopes"):
         conditioning.kappa_after(t, preconditioners.identity_preconditioner(2))
+    with pytest.raises(BoundInapplicableError, match="no Hessian envelopes"):
+        conditioning.envelope_eps(t, preconditioners.identity_preconditioner(2))
 
 
 def test_kappa_after_whitening_and_diag():
@@ -216,6 +218,52 @@ def test_hyperbolic_norm_slack_at_most_lambda():
     probes = rng.standard_normal((30, 3))
     eps = conditioning.measure_eps_norm(hessian_stack(t, probes), p)
     assert eps <= lam / p.sigma_sq[-1] + 1e-12
+
+
+def test_envelope_eps_exact_cases():
+    # hyperbolic with L = A^{1/2}: H_up - LL^T = lambda I, attained at beta = 0
+    for d, seed in [(2, 1), (3, 5), (6, 9)]:
+        x_mat, y, lam = targets.synth_regression_data(d, 4 * d, seed)
+        t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+        p = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
+        assert conditioning.envelope_eps(t, p) == pytest.approx(
+            lam / p.sigma_sq[-1], rel=1e-12)
+    # a Gaussian's Hessian is constant, so every probe set measures the same eps
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        t = targets.gaussian_target(np.zeros(3), random_spd(rng, 3))
+        p = preconditioners.from_matrix(random_spd(rng, 3))
+        probes = rng.standard_normal((4, 3))
+        assert conditioning.envelope_eps(t, p) == pytest.approx(
+            conditioning.measure_eps_norm(hessian_stack(t, probes), p), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["hyperbolic", "binomial"]),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_envelope_eps_bounds_the_norm_slack_at_every_state(family, d, seed):
+    rng = np.random.default_rng(seed)
+    if family == "hyperbolic":
+        x_mat, y, lam = targets.synth_regression_data(d, 3 * d, seed)
+        t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+    else:
+        x_mat, y, w = targets.synth_binomial_data(d, 4 * d, 1.0, seed)
+        t = targets.binomial_gprior_target(x_mat, y, w, 0.01 / (4 * d))
+    p = preconditioners.from_matrix(random_spd(rng, d, spread=float(rng.uniform(0, 3))))
+    eps = conditioning.envelope_eps(t, p)
+    # beta = 0 attains H_up for both families; far out every |X_i^T x| >= 60,
+    # where the binomial Hessian approaches H_lo
+    v = rng.standard_normal(d)
+    far = v * (60.0 / np.abs(x_mat @ v).min())
+    states = [np.zeros(d), far, 10.0 * far,
+              *(scale * rng.standard_normal(d) for scale in (0.1, 1.0, 5.0))]
+    for x in states:
+        h = t.hessian(x)
+        slack = np.linalg.eigvalsh(0.5 * (h + h.T) - p.llt())
+        assert np.abs(slack).max() / p.sigma_sq[-1] <= eps * (1 + 1e-12)
 
 
 def test_norm_slack_controls_eigenvalue_deviation():

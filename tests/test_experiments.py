@@ -8,7 +8,9 @@ import pytest
 from precond import (
     cli, conditioning, diagnostics, experiments, linalg, preconditioners, samplers, targets,
 )
-from precond.errors import DefinitenessError, ModelFileError, PrecondError, ZeroVarianceError
+from precond.errors import (
+    DefinitenessError, ModelFileError, PrecondError, SingularMatrixError, ZeroVarianceError,
+)
 from precond.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -165,6 +167,30 @@ def test_verify_bounds_checks_the_prop5_lower_bound(monkeypatch):
     statuses = [row["status"] for row in run_experiment(cfg).rows
                 if row["arm"] == "binomial-mult"]
     assert statuses == ["fail"] * 3
+
+
+@pytest.mark.parametrize("master_seed", [0, 33, 287])
+def test_verify_bounds_thm3_holds_where_probes_miss_beta_zero(master_seed):
+    # Thm3's sup of ||hessian - LL^T|| is attained at beta = 0; a probe-measured
+    # eps missed it on one instance of each of these sweeps (11, 16 and 0)
+    cfg = ExperimentConfig(experiment="verify-bounds", master_seed=master_seed,
+                           extra={"n_instances": 20, "n_preconditioners": 0})
+    rows = [row for row in run_experiment(cfg).rows if row["arm"] == "hyperbolic-thm3"]
+    assert len(rows) == 20
+    assert [row["chain"] for row in rows if row["status"] != "pass"] == []
+
+
+def test_verify_bounds_runs_no_mode_search_or_probe_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-bounds reads its constants in closed form")
+
+    monkeypatch.setattr(conditioning, "default_probes", refuse)
+    monkeypatch.setattr(samplers, "find_mode", refuse)
+    cfg = ExperimentConfig(experiment="verify-bounds", master_seed=11,
+                           extra={"n_instances": 3, "n_preconditioners": 2})
+    rows = run_experiment(cfg).rows
+    assert len(rows) == 3 + 3 + 2
+    assert all(row["status"] == "pass" for row in rows)
 
 
 def test_batches_cover_chains_within_state_budget():
@@ -371,6 +397,38 @@ def test_cli_analyze_bad_matrix_row_count_names_its_line(tmp_path, capsys, count
     assert cli.main(["analyze", "--config", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: matrix row count") and repr(count) in err
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("diag,2\n0,0\n0,0\n", SingularMatrixError, "preconditioner is rank deficient"),
+    ("diag,2\n1,0\n0,1e-300\n", SingularMatrixError, "preconditioner is rank deficient"),
+    ("diag,0\n", ModelFileError, "line 1: dimension must be positive, got '0'"),
+    ("diag,-1\n1\n", ModelFileError, "line 1: dimension must be positive, got '-1'"),
+])
+def test_cli_analyze_rejects_singular_or_empty_preconditioner(tmp_path, capsys, text,
+                                                              error, message):
+    path = _write(tmp_path, "cos.txt", "model: cosine\nm: 1.0\nM: 4.0\n")
+    pfile = _write(tmp_path, "precond.csv", text)
+    assert cli.main(["analyze", "--config", path, "--preconditioner", pfile]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    with pytest.raises(error):
+        preconditioners.from_csv(text)
+
+
+def test_cli_analyze_marks_probe_bounds_estimated(tmp_path, capsys):
+    sigma = "\n".join(",".join(repr(float(v)) for v in row) for row in SIGMA_PI_FIXTURE)
+    path = _write(tmp_path, "g.txt", f"model: gaussian\nmatrix sigma 5:\n{sigma}\n")
+    assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    flags = {rep["kind"]: rep["certified"]
+             for rep in json.loads((tmp_path / "analyze_bounds.json").read_text())}
+    probe_based = {"Thm1", "Thm2", "Thm3", "ImprovedGapThreshold", "GapSandwich"}
+    assert {"Thm3", "GapSandwich", "KappaSummary", "DiagDominance"} <= set(flags)
+    for kind, certified in flags.items():
+        assert certified == (kind not in probe_based)
+        label = "[certified]" if certified else "[estimated]"
+        assert any(ln.startswith(kind) and ln.endswith(label) for ln in out.splitlines())
 
 
 def test_cli_analyze_missing_file(tmp_path, capsys):
@@ -647,6 +705,9 @@ def _analyze_from_public_measures(target, precond, seed=0, xi=1.0):
         reports.append(conditioning.rwm_gap_bounds(
             target.envelope.kappa, target.dim, xi, eps_prime,
             big_m=target.envelope.big_m))
+    # every bound above KappaSummary's reads a probe-measured constant
+    for rep in reports[1:]:
+        rep.certified = False
     if isinstance(target.structure, targets.MultiplicativeStructure):
         reports.append(conditioning.mult_kappa_bounds(target))
         reports.append(conditioning.mult_dalalyan(target))
