@@ -10,25 +10,16 @@ from .conditioning import (
     bound_thm2,
     bound_thm3,
     condition_number,
-    covariance_localisation,
-    covariance_localisation_additive,
     diag_dominance_bound,
-    fisher_bound,
-    givens_delta_kappa,
     hard_target_lower,
-    hessian_stack,
     improved_gap_threshold,
     kappa_after,
-    measure_delta_eigenvector,
-    measure_eps_eigenvalue,
-    measure_eps_norm,
     mult_dalalyan,
     mult_kappa_bounds,
     mult_mode_bound,
-    ou_spectral_gap,
     rwm_gap_bounds,
 )
-from .diagnostics import EssReport, acceptance_rate, empirical_gap_upper, ess, ess_report
+from .diagnostics import EssReport, acceptance_rate, ess, ess_report
 from .errors import PrecondError
 from .preconditioners import (
     Preconditioner,

@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="model file (plain text, see README)")
     p_analyze.add_argument("--preconditioner",
                            help="preconditioner CSV file; defaults to identity")
-    p_analyze.add_argument("--seed", type=int, default=0)
+    p_analyze.add_argument("--seed", type=int, default=0,
+                           help="unused: every bound is read in closed form")
     p_analyze.add_argument("--out", help="directory for the BoundReport JSON")
 
     p_exp = sub.add_parser("experiment", help="run one of the paper experiments")
@@ -73,8 +74,7 @@ def _print_reports(reports) -> None:
     width = max(len(r.kind) for r in reports)
     for rep in reports:
         lower = f" lower={rep.lower:.6g}" if rep.lower is not None else ""
-        cert = "certified" if rep.certified else "estimated"
-        print(f"{rep.kind:<{width}}  value={rep.value:.6g}{lower}  [{cert}]")
+        print(f"{rep.kind:<{width}}  value={rep.value:.6g}{lower}")
         if rep.inputs:
             pretty = ", ".join(
                 f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
@@ -91,7 +91,7 @@ def _cmd_analyze(args) -> int:
         precond = preconditioners.from_csv(Path(args.preconditioner).read_text())
     else:
         precond = preconditioners.identity_preconditioner(target.dim)
-    reports = experiments.analyze(target, precond, seed=args.seed)
+    reports = experiments.analyze(target, precond)
     _print_reports(reports)
     if args.out:
         out = Path(args.out)

@@ -1,20 +1,21 @@
 """Condition numbers before and after preconditioning, and every bound on them.
 
-Both condition numbers take one route, the Loewner pair H_lo <= hessian(x) <=
-H_up that every target family carries, whose ends are attained or limiting
-members of the Hessian family: kappa = M/m with m = lambda_min(H_lo) and
-M = lambda_max(H_up), the target's envelope that Thm3, the gap threshold and
-the gap sandwich read too, and kappa_L is the same ratio for L^{-1} H_lo L^{-1}
-and L^{-1} H_up L^{-1}.
-A target without the pair raises BoundInapplicableError, since a search over
-states could only under-state kappa.
+Every constant here is read in closed form from the Loewner pair
+H_lo <= hessian(x) <= H_up that each target family carries, whose ends are
+attained or limiting members of the Hessian family, so each one bounds its
+supremum over all states and every bound built from them is a certificate:
 
-Closed form, hence certified: m, M, kappa, kappa_L and envelope_eps, Thm3's
-norm slack epsilon, which the pair bounds at every state.
-Probe estimates: the measure_* constants (epsilon, delta, epsilon') taken over
-a probe set. A probe set can miss the state that attains a supremum, and an
-under-estimated epsilon makes an upper bound on kappa too small, so a bound
-built from them is an estimate, not a certificate.
+- kappa = M/m with m = lambda_min(H_lo) and M = lambda_max(H_up), and kappa_L,
+  the same ratio for L^{-1} H_lo L^{-1} and L^{-1} H_up L^{-1};
+- eps (Thm2, Thm3): envelope_eps, ||hessian(x) - LL^T|| <= sigma_d^2 eps;
+- eps_eig (Thm1): envelope_eps_eigenvalue, by Weyl monotonicity
+  lambda_i(H_lo) <= lambda_i(hessian(x)) <= lambda_i(H_up);
+- delta (Thm1, Thm2): davis_kahan_delta from eps and the eigengap of LL^T;
+- eps' (gap threshold and sandwich): envelope_hessian_variation,
+  ||hessian(x) - hessian(y)|| <= lambda_max(H_up - H_lo) = m eps'.
+
+A target without the pair raises BoundInapplicableError, since a search over
+states could only under-state these suprema.
 """
 
 from __future__ import annotations
@@ -22,18 +23,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import linalg
-from .errors import (
-    AssumptionViolationError,
-    BoundInapplicableError,
-    DegeneratePairingError,
-    PrecondError,
-)
+from .errors import BoundInapplicableError, PrecondError
 from .preconditioners import Preconditioner
 from .targets import (
     DifferentiableTarget,
@@ -54,7 +49,6 @@ class BoundReport:
     value: float
     lower: Optional[float] = None
     inputs: dict = field(default_factory=dict)
-    certified: bool = True
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -62,7 +56,6 @@ class BoundReport:
             "kind": self.kind,
             "value": self.value,
             "inputs": {k: _jsonable(v) for k, v in self.inputs.items()},
-            "certified": self.certified,
         }
         if self.lower is not None:
             out["lower"] = self.lower
@@ -83,24 +76,8 @@ def _jsonable(v):
 
 
 def _symmetrised(h: np.ndarray) -> np.ndarray:
-    """0.5 (H + H^T) of a matrix, or of each matrix in a (..., d, d) stack."""
-    return 0.5 * (h + np.swapaxes(h, -1, -2))
-
-
-def _convex_eigvalsh(h_sym: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (..., d, d) stack of symmetric Hessians.
-
-    Raises at the first matrix with a nonpositive eigenvalue.
-    """
-    vals = np.linalg.eigvalsh(h_sym)
-    lowest = vals[..., 0].reshape(-1)
-    bad = np.flatnonzero(lowest <= 0)
-    if bad.size:
-        raise AssumptionViolationError(
-            f"Hessian has nonpositive eigenvalue {lowest[bad[0]]:.3e} at a probe; "
-            "target is not strongly log-concave there"
-        )
-    return vals
+    """0.5 (H + H^T) of a matrix."""
+    return 0.5 * (h + h.T)
 
 
 def _envelope(target: DifferentiableTarget) -> SmoothnessEnvelope:
@@ -141,6 +118,52 @@ def envelope_eps(target: DifferentiableTarget, precond: Preconditioner) -> float
     return max(float(above), float(below), 0.0) / float(precond.sigma_sq[-1])
 
 
+def envelope_eps_eigenvalue(
+    target: DifferentiableTarget, precond: Preconditioner
+) -> float:
+    """An eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps at every state x.
+
+    Eigenvalues in descending order. Weyl monotonicity puts lambda_i(x)
+    between lambda_i(H_lo) and lambda_i(H_up), so the ratio's extremes over
+    all states are read at the two ends of the pair.
+    """
+    _envelope(target)
+    sig = precond.sigma_sq
+    up = np.linalg.eigvalsh(_symmetrised(target.hessian_upper))[::-1]
+    lo = np.linalg.eigvalsh(_symmetrised(target.hessian_lower))[::-1]
+    return max(float((up / sig).max()) - 1.0, float((sig / lo).max()) - 1.0, 0.0)
+
+
+def envelope_hessian_variation(target: DifferentiableTarget) -> float:
+    """An eps' with ||hessian(x) - hessian(y)|| <= m eps' for all states x, y.
+
+    Both Hessians lie in [H_lo, H_up], so their difference lies between
+    -(H_up - H_lo) and H_up - H_lo, and its norm is at most
+    lambda_max(H_up - H_lo).
+    """
+    env = _envelope(target)
+    spread = np.linalg.eigvalsh(
+        _symmetrised(target.hessian_upper - target.hessian_lower))[-1]
+    return max(float(spread), 0.0) / env.m
+
+
+def davis_kahan_delta(eps: float, gamma: float, sigma_d: float) -> float:
+    """Thm1's delta from ||hessian(x) - LL^T|| <= sigma_d^2 eps.
+
+    With gamma the smallest gap between eigenvalues of LL^T, Davis-Kahan (in
+    the form of Yu, Wang and Samworth 2015) bounds the sine of the angle
+    between the i-th eigenvectors of hessian(x) and LL^T by
+    t = 2 sigma_d^2 eps / gamma, so v_i(x)^T v_i >= sqrt(1 - t^2) >= 1 - t^2,
+    which is Thm1's alignment 1 - (1 - sqrt(1 - delta))^2 at
+    delta = 1 - (1 - t)^2. Where t > 1 or gamma = 0 this is delta = 1, which
+    claims no alignment and is always sound.
+    """
+    if gamma <= 0:
+        return 1.0
+    t = 2.0 * sigma_d**2 * eps / gamma
+    return 1.0 if t > 1.0 else 1.0 - (1.0 - t) ** 2
+
+
 def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundReport:
     """Lower bound kappa(LL^T) * M/m on kappa_L for the cosine hard target."""
     sig = precond.sigma_sq
@@ -150,123 +173,6 @@ def hard_target_lower(precond: Preconditioner, m: float, big_m: float) -> BoundR
         value=kappa_llt * big_m / m,
         inputs={"kappa_llt": kappa_llt, "m": m, "M": big_m},
     )
-
-
-# -- assumption constant measurement ----------------------------------------
-#
-# Each measurement takes the (P, d, d) stack of probe Hessians from
-# hessian_stack and runs one eigen-solve over it; the per-matrix results equal
-# those of solving each probe Hessian on its own, bit for bit. analyze builds
-# one stack and passes it to every measurement.
-
-# Floats per stack of pair differences in measure_eps_hessian_variation
-# (8 MiB); larger probe sets are processed in chunks of pairs.
-PAIR_CHUNK_FLOATS = 1 << 20
-
-
-def hessian_stack(
-    target: DifferentiableTarget, probes: Sequence[np.ndarray]
-) -> np.ndarray:
-    """(P, d, d) stack of the target's Hessians at the probes."""
-    if len(probes) == 0:
-        raise PrecondError("probe set is empty")
-    return np.stack([target.hessian(np.asarray(x, dtype=float)) for x in probes])
-
-
-def measure_eps_eigenvalue(hs: np.ndarray, precond: Preconditioner) -> float:
-    """Smallest eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps on probes."""
-    h = linalg.check_symmetric(_symmetrised(hs))
-    ratio = _convex_eigvalsh(h)[:, ::-1] / precond.sigma_sq  # descending
-    return max(
-        0.0,
-        float((ratio.max(axis=1) - 1.0).max()),
-        float((1.0 / ratio.min(axis=1) - 1.0).max()),
-    )
-
-
-def measure_delta_eigenvector(hs: np.ndarray, precond: Preconditioner) -> float:
-    """Smallest delta with v_i(x)^T v_i >= 1 - (1 - sqrt(1-delta))^2 on probes.
-
-    Eigenvectors of each probe Hessian are paired with those of LL^T by
-    maximal absolute inner product (Hungarian assignment, one probe at a
-    time). Near-degenerate probe spectra make the pairing ambiguous and raise
-    instead of guessing.
-    """
-    h = linalg.check_symmetric(_symmetrised(hs))
-    values, vectors = np.linalg.eigh(h)  # ascending
-    # columns in descending order of eigenvalue, as linalg.sym_eigen gives them
-    vectors = np.ascontiguousarray(vectors[:, :, ::-1])
-    if values.shape[1] > 1:
-        gaps = np.diff(values, axis=1).min(axis=1)
-        bad = np.flatnonzero(gaps < 1e-10 * np.maximum(np.abs(values[:, -1]), 1.0))
-        if bad.size:
-            raise DegeneratePairingError(
-                f"probe Hessian eigengap {gaps[bad[0]]:.3e} is too small to pair "
-                "eigenvectors unambiguously"
-            )
-    v_l = precond.eigs.vectors
-    worst = 1.0
-    for vecs in vectors:
-        overlap = np.abs(vecs.T @ v_l)
-        rows, cols = linear_sum_assignment(-overlap)
-        worst = min(worst, float(overlap[rows, cols].min()))
-    worst = min(max(worst, 0.0), 1.0)
-    # invert alignment a = 1 - (1 - sqrt(1-delta))^2 for delta
-    delta = 1.0 - (1.0 - math.sqrt(1.0 - worst)) ** 2
-    return float(min(max(delta, 0.0), 1.0))
-
-
-def measure_eps_norm(hs: np.ndarray, precond: Preconditioner) -> float:
-    """Smallest eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps on probes."""
-    norms = linalg.spectral_norm(_symmetrised(hs) - precond.llt())
-    return max(0.0, float((norms / precond.sigma_sq[-1]).max()))
-
-
-def measure_eps_hessian_variation(hs: np.ndarray, m: float) -> float:
-    """Smallest eps with ||hessian(x) - hessian(y)|| <= m eps over probe pairs."""
-    i, j = np.triu_indices(hs.shape[0], 1)
-    chunk = max(1, PAIR_CHUNK_FLOATS // hs[0].size)
-    eps = 0.0
-    for start in range(0, i.size, chunk):
-        diff = hs[i[start:start + chunk]] - hs[j[start:start + chunk]]
-        norms = linalg.spectral_norm(_symmetrised(diff))
-        eps = max(eps, float((norms / m).max()))
-    return eps
-
-
-def default_probes(
-    target: DifferentiableTarget,
-    precond: Preconditioner,
-    seed: int = 0,
-    n_chain: int = 128,
-    n_local: int = 128,
-) -> np.ndarray:
-    """Probe points: equilibrated chain states plus local Gaussian draws.
-
-    The Gaussian half is N(x*, 4 (LL^T)^{-1}), covering moderate tails where
-    Hessian variation lives; the chain half covers the bulk.
-    """
-    from . import samplers  # local import: samplers sits above this module
-
-    d = target.dim
-    if target.exact_mode is not None:
-        x_star = np.asarray(target.exact_mode, dtype=float)
-    else:
-        x_star = samplers.find_mode(target, precond, tol=1e-8)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E3779B9]))
-    linv = precond.inv
-    local = x_star + 2.0 * (rng.standard_normal((n_local, d)) @ linv.T)
-    cfg = samplers.ChainConfig(
-        kind="RWM",
-        step_size=2.38 / math.sqrt(d),
-        preconditioner=precond,
-        n_steps=max(8 * n_chain, 512),
-        seed=seed,
-    )
-    trace = samplers.rwm_chain(target, cfg, x0=x_star)
-    states = trace.states
-    idx = np.linspace(states.shape[0] // 2, states.shape[0] - 1, n_chain).astype(int)
-    return np.vstack([states[idx], local])
 
 
 # -- theorem bounds ----------------------------------------------------------
@@ -297,7 +203,14 @@ def bound_thm1(eps: float, delta: float, sigmas: np.ndarray) -> BoundReport:
 def bound_thm2(
     eps: float, gamma: float, sigma_d: float, sigmas: np.ndarray
 ) -> BoundReport:
-    """Theorem 1 with delta derived from the eigengap via Davis-Kahan."""
+    """Theorem 1 from the norm slack ||hessian(x) - LL^T|| <= sigma_d^2 eps.
+
+    Reported where the theorem's hypothesis 2 eps / (gamma sigma_d^2) <= 1
+    holds and eps < 1. The slack puts every lambda_i(x)/sigma_i^2 within
+    [1 - eps, 1 + eps], so Thm1 applies at eps / (1 - eps): at eps itself the
+    lower end 1 - eps lies below (1 + eps)^{-1}. Its delta is
+    davis_kahan_delta(eps, gamma, sigma_d).
+    """
     if gamma <= 0:
         raise BoundInapplicableError(
             "LL^T has zero eigengap; the Davis-Kahan route needs gamma > 0"
@@ -308,8 +221,13 @@ def bound_thm2(
             f"2 eps / (gamma sigma_d^2) = {t:.4g} exceeds 1; the derived delta "
             "leaves its valid range and the bound is undefined"
         )
-    delta = 1.0 - (1.0 - t) ** 2
-    rep = bound_thm1(eps, delta, sigmas)
+    if eps >= 1.0:
+        raise BoundInapplicableError(
+            f"eps = {eps:.4g} is at least 1, so the norm slack leaves the "
+            "eigenvalue ratios unbounded below"
+        )
+    delta = davis_kahan_delta(eps, gamma, sigma_d)
+    rep = bound_thm1(eps / (1.0 - eps), delta, sigmas)
     return BoundReport(
         kind="Thm2",
         value=rep.value,
@@ -325,39 +243,6 @@ def bound_thm3(eps: float, sigma1: float, m: float) -> BoundReport:
     value = (1.0 + eps) * (1.0 + sigma1**2 * eps / m)
     return BoundReport(
         kind="Thm3", value=value, inputs={"eps": eps, "sigma1": sigma1, "m": m}
-    )
-
-
-@dataclass(frozen=True)
-class GivensKappa:
-    kappa_l: float
-    trace: float
-    delta4_coefficient: float
-
-
-def givens_delta_kappa(lambda1: float, lambda2: float, delta: float) -> GivensKappa:
-    """Exact kappa_L of the worst-case two-dimensional misalignment construction.
-
-    With D = diag(lambda1, lambda2), G the rotation by arccos(1-delta), and
-    M = D^{1/2} G^T D^{-1} G D^{1/2}, det M = 1 and
-    tr M = 2(1-delta)^2 + delta(2-delta) l with l = lambda1/lambda2 +
-    lambda2/lambda1, so kappa_L = lambda_1(M)^2 follows from the quadratic
-    characteristic polynomial. The quartic trend of the bound in delta has
-    leading coefficient (l-2)^2/4, reported alongside.
-    """
-    if lambda1 <= 0 or lambda2 <= 0:
-        raise PrecondError("lambda1, lambda2 must be positive")
-    if lambda1 == lambda2:
-        raise PrecondError("lambda1 and lambda2 must differ")
-    if not 0 <= delta <= 1:
-        raise PrecondError(f"delta must lie in [0, 1], got {delta}")
-    l = lambda1 / lambda2 + lambda2 / lambda1
-    trace = 2.0 * (1.0 - delta) ** 2 + delta * (2.0 - delta) * l
-    lam_max = 0.5 * (trace + math.sqrt(max(trace**2 - 4.0, 0.0)))
-    return GivensKappa(
-        kappa_l=lam_max**2,
-        trace=trace,
-        delta4_coefficient=0.25 * (l - 2.0) ** 2,
     )
 
 
@@ -443,23 +328,7 @@ def mult_mode_bound(target: DifferentiableTarget, x_star: np.ndarray) -> BoundRe
     )
 
 
-# -- Fisher, spectral gap, O-U, localisation ---------------------------------
-
-def fisher_bound(eps: float, sigma1: float, sigma_d: float, m: float) -> BoundReport:
-    """Fisher-preconditioner guarantees from a verified norm slack eps.
-
-    ||hessian(x) - Fisher|| <= 2 sigma_d^2 eps, and the square-root-Fisher
-    preconditioner satisfies kappa_L <= (1+2 eps)(1 + 2 sigma_1^2 eps / m).
-    """
-    if eps < 0 or m <= 0:
-        raise PrecondError("need eps >= 0 and m > 0")
-    return BoundReport(
-        kind="FisherCor",
-        value=(1.0 + 2.0 * eps) * (1.0 + 2.0 * sigma1**2 * eps / m),
-        inputs={"eps": eps, "sigma1": sigma1, "sigma_d": sigma_d, "m": m},
-        extras={"norm_bound": 2.0 * sigma_d**2 * eps},
-    )
-
+# -- spectral gap ------------------------------------------------------------
 
 def rwm_gap_bounds(
     kappa: float, d: int, xi: float, eps: float, big_m: Optional[float] = None
@@ -501,105 +370,6 @@ def improved_gap_threshold(
         inputs={
             "eps_prime": eps_prime, "eps": eps, "sigma1": sigma1, "m": m, "xi": xi
         },
-    )
-
-
-def ou_spectral_gap(l_mat: np.ndarray, sigma: np.ndarray) -> tuple[float, bool]:
-    """Spectral gap of the preconditioned Ornstein-Uhlenbeck drift.
-
-    Returns (min_i |lambda_i(-L^{-1} L^{-T} Sigma^{-1})|, determinant
-    constraint |det| = 1 satisfied within 1e-9).
-    """
-    l_mat = np.asarray(l_mat, dtype=float)
-    sigma_inv = linalg.sym_inv(linalg.check_symmetric(sigma, "sigma"))
-    linv = np.linalg.inv(l_mat)
-    drift = -linv @ linv.T @ sigma_inv
-    eigs = np.linalg.eigvals(drift)
-    gap = float(np.abs(eigs).min())
-    det = abs(float(np.linalg.det(drift)))
-    return gap, bool(abs(det - 1.0) <= 1e-9)
-
-
-def covariance_localisation(
-    delta_minus: np.ndarray,
-    delta_plus: np.ndarray,
-    x_star: np.ndarray,
-    mu: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Loewner localisation of the inverse covariance from Hessian envelopes.
-
-    Given Delta_- <= hessian(x) <= Delta_+ everywhere, returns (P_-, P_+,
-    norm_bound) with P_- <= Sigma_pi^{-1} <= P_+ and
-    ||hessian(x) - Sigma_pi^{-1}|| <= norm_bound.
-    """
-    dm = linalg.check_symmetric(delta_minus, "delta_minus")
-    dp = linalg.check_symmetric(delta_plus, "delta_plus")
-    if not linalg.loewner_leq(dm, dp, tol=1e-10):
-        raise PrecondError("delta_minus must precede delta_plus in Loewner order")
-    for name, mat in (("delta_minus", dm), ("delta_plus", dp)):
-        vals = np.linalg.eigvalsh(mat)
-        if vals[0] <= 0:
-            raise PrecondError(f"{name} must be positive definite")
-    v = np.asarray(x_star, dtype=float) - np.asarray(mu, dtype=float)
-    tr_p = float(v @ dp @ v)  # = Tr(D_+)
-    tr_m = float(v @ dm @ v)
-    if tr_p >= 1.0 or tr_m >= 1.0:
-        raise BoundInapplicableError(
-            f"mode-mean displacement too large: 1 - v^T Delta v = "
-            f"{1 - tr_p:.4g} (+), {1 - tr_m:.4g} (-) must stay positive"
-        )
-    sign_m, logdet_m = np.linalg.slogdet(dm)
-    sign_p, logdet_p = np.linalg.slogdet(dp)
-    c = math.exp(0.5 * (logdet_m - logdet_p))
-    dp_v = dp @ v
-    dm_v = dm @ v
-    p_plus = (dp + np.outer(dp_v, dp_v) / (1.0 - tr_p)) / c
-    p_minus = c * (dm + np.outer(dm_v, dm_v) / (1.0 - tr_m))
-    norm_bound = max(
-        linalg.spectral_norm(dp - p_minus), linalg.spectral_norm(p_plus - dm)
-    )
-    return p_minus, p_plus, float(norm_bound)
-
-
-def covariance_localisation_additive(
-    a: np.ndarray, eps: float, x_star: np.ndarray, mu: np.ndarray
-) -> BoundReport:
-    """Localisation bound for additive Hessians A + B(x) with ||B(x)|| <= eps."""
-    a = linalg.check_symmetric(a, "A")
-    vals = np.linalg.eigvalsh(a)
-    if eps <= 0 or vals[0] <= eps:
-        raise BoundInapplicableError(
-            f"need eps I strictly below A: lambda_min(A) = {vals[0]:.4g}, "
-            f"eps = {eps:.4g}"
-        )
-    d = a.shape[0]
-    a_plus = a + eps * np.eye(d)
-    a_minus = a - eps * np.eye(d)
-    v = np.asarray(x_star, dtype=float) - np.asarray(mu, dtype=float)
-    tr_p = float(v @ a_plus @ v)
-    tr_m = float(v @ a_minus @ v)
-    if tr_p >= 1.0 or tr_m >= 1.0:
-        raise BoundInapplicableError(
-            "mode-mean displacement too large for the localisation corollary"
-        )
-    _, logdet_m = np.linalg.slogdet(a_minus)
-    _, logdet_p = np.linalg.slogdet(a_plus)
-    c = math.exp(0.5 * (logdet_m - logdet_p))
-    ap_v = a_plus @ v
-    am_v = a_minus @ v
-    p_tilde_plus = np.outer(ap_v, ap_v) / (c * (1.0 - tr_p))
-    p_tilde_minus = c * np.outer(am_v, am_v) / (1.0 - tr_m)
-    value = (
-        (1.0 / c + 1.0) * eps
-        + (1.0 / c - 1.0) * linalg.spectral_norm(a)
-        + max(
-            linalg.spectral_norm(p_tilde_minus), linalg.spectral_norm(p_tilde_plus)
-        )
-    )
-    return BoundReport(
-        kind="CovLocaliseAdditive",
-        value=float(value),
-        inputs={"eps": eps, "c": c, "norm_a": linalg.spectral_norm(a)},
     )
 
 

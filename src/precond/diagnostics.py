@@ -1,8 +1,7 @@
-"""Chain diagnostics: ESS, acceptance, gap surrogates."""
+"""Chain diagnostics: ESS and acceptance."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,15 +11,6 @@ from .samplers import Trace
 
 # Shortest series whose effective sample size is computed.
 MIN_ESS_POINTS = 100
-
-
-def _demean(series: np.ndarray) -> np.ndarray:
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise PrecondError("series must be one-dimensional")
-    if not np.isfinite(series).all():
-        raise PrecondError("series contains non-finite values")
-    return series - series.mean()
 
 
 def ess(series: np.ndarray) -> float:
@@ -93,38 +83,3 @@ def acceptance_rate(trace: Trace) -> float:
     if trace.accepted.size == 0:
         raise PrecondError("trace is empty")
     return float(trace.accepted.mean())
-
-
-def empirical_gap_upper(
-    trace: Trace, v: np.ndarray, batches: int = 32
-) -> tuple[float, float]:
-    """Dirichlet-form surrogate 1 - rho_1 of <v, X_t>, with a batch-means SE.
-
-    Converges to E(P, g)/Var(g) for g(x) = <v, x - mean>, a quantity at least
-    as large as the spectral gap.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0:
-        raise PrecondError("direction v must be nonzero")
-    proj = trace.states @ v
-    x = _demean(proj)
-    n = x.shape[0]
-    var = float(x @ x)
-    if var == 0.0:
-        raise PrecondError("projected series is degenerate")
-    estimate = 1.0 - float(x[:-1] @ x[1:] / var)
-    # batch-means standard error of the lag-1 estimate
-    if batches < 2 or n < 2 * batches:
-        raise PrecondError("too few points for batch-means standard error")
-    size = n // batches
-    vals = []
-    for b in range(batches):
-        seg = x[b * size : (b + 1) * size]
-        seg = seg - seg.mean()
-        svar = float(seg @ seg)
-        if svar > 0:
-            vals.append(1.0 - float(seg[:-1] @ seg[1:] / svar))
-    vals = np.asarray(vals)
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else math.inf
-    return estimate, se
-

@@ -33,10 +33,6 @@ class BoundInapplicableError(PrecondError):
     """The preconditions of a bound do not hold for the supplied constants."""
 
 
-class DegeneratePairingError(PrecondError):
-    """Eigenvector pairing is ambiguous because of a near-degenerate spectrum."""
-
-
 class ZeroVarianceError(PrecondError):
     """A series has zero variance, as a chain that never moved does."""
 

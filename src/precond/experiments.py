@@ -18,7 +18,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import conditioning, diagnostics, linalg, preconditioners, samplers, targets
-from .errors import DefinitenessError, ModelFileError, PrecondError, ZeroVarianceError
+from .errors import (
+    BoundInapplicableError, DefinitenessError, ModelFileError, PrecondError,
+    ZeroVarianceError,
+)
 
 SCHEMA_VERSION = 1
 
@@ -178,7 +181,7 @@ def _batches(n_chains: int, n_steps: int, d: int) -> list:
     return [range(i, min(i + size, n_chains)) for i in range(0, n_chains, size)]
 
 
-def _measure_row(
+def _chain_row(
     experiment: str, d: int, n: int, mu: float, arm: str, chain: int, seed: int,
     trace: Optional[samplers.Trace], wall: float, status: str = "ok",
 ) -> dict:
@@ -230,7 +233,7 @@ def _run_slots(
     """
     d, n, mu = cell
     rows = [
-        None if s.precond is not None else _measure_row(
+        None if s.precond is not None else _chain_row(
             experiment, d, n, mu, s.arm, s.chain, s.seed, None, 0.0, status="failed")
         for s in slots
     ]
@@ -264,7 +267,7 @@ def _run_slots(
         ], starts[runs]))) if runs else {}
         wall = (time.perf_counter() - t0) / len(batch)
         for j, s in enumerate(picked):
-            rows[live[batch[j]]] = _measure_row(
+            rows[live[batch[j]]] = _chain_row(
                 experiment, d, n, mu, s.arm, s.chain, s.seed, traces.get(j), wall,
                 status="ok" if j in traces else "failed")
         del traces  # free this batch's states before the next one
@@ -464,8 +467,8 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
 def _bound_row(d: int, n: int, arm: str, chain: int, seed: int,
                value: float, bound: float, ok: bool) -> dict:
     """A sweep row: the checked value as median_ess, its bound as acceptance."""
-    row = _measure_row("verify-bounds", d, n, 0.0, arm, chain, seed, None, 0.0,
-                       "pass" if ok else "fail")
+    row = _chain_row("verify-bounds", d, n, 0.0, arm, chain, seed, None, 0.0,
+                     "pass" if ok else "fail")
     return row | {"median_ess": value, "acceptance": bound}
 
 
@@ -636,49 +639,43 @@ def load_model_file(path: str) -> targets.DifferentiableTarget:
 def analyze(
     target: targets.DifferentiableTarget,
     precond: preconditioners.Preconditioner,
-    seed: int = 0,
     xi: float = 1.0,
 ) -> list[conditioning.BoundReport]:
-    """Condition numbers, measured constants, and every applicable bound.
+    """Condition numbers and every applicable bound, each one a certificate.
 
-    Thm1-3, the gap threshold and the gap sandwich read constants measured at
-    probes, so they are marked estimated; the rest are certified.
+    Every constant is read in closed form from the target's Loewner pair
+    H_lo <= hessian(x) <= H_up and bounds its supremum over all states: kappa
+    and kappa_L, Thm1's eps_eig (Weyl monotonicity) and delta (Davis-Kahan
+    from eps), Thm2 and Thm3's eps (envelope_eps) and the gap reports' eps'
+    (lambda_max(H_up - H_lo)/m). No mode search, chain or Hessian evaluation
+    is run.
     """
-    reports = [conditioning.BoundReport(
-        kind="KappaSummary", value=conditioning.kappa_after(target, precond),
-        inputs={"kappa": conditioning.condition_number(target)},
-    )]
-    probes = conditioning.default_probes(target, precond, seed=seed,
-                                         n_chain=64, n_local=64)
-    # one Hessian per probe, shared by every measured constant
-    hs = conditioning.hessian_stack(target, probes)
-    eps_eig = conditioning.measure_eps_eigenvalue(hs, precond)
-    eps_norm = conditioning.measure_eps_norm(hs, precond)
-    sigmas = np.sqrt(precond.sigma_sq)
-    estimated = []
-    try:
-        delta = conditioning.measure_delta_eigenvector(hs, precond)
-        estimated.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
-    except PrecondError:
-        pass
-    try:
-        estimated.append(conditioning.bound_thm2(
-            eps_norm, precond.eigengap, float(sigmas[-1]), sigmas))
-    except PrecondError:
-        pass
+    kappa = conditioning.condition_number(target)  # raises without the pair
     env = target.envelope
-    if env is not None:
-        estimated.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), env.m))
-        eps_prime = conditioning.measure_eps_hessian_variation(hs[:16], env.m)
-        estimated.append(conditioning.improved_gap_threshold(
-            eps_prime, eps_norm, float(sigmas[0]), env.m, xi))
+    sigmas = np.sqrt(precond.sigma_sq)
+    sigma1, sigma_d = float(sigmas[0]), float(sigmas[-1])
+    eps = conditioning.envelope_eps(target, precond)
+    eps_prime = conditioning.envelope_hessian_variation(target)
+    reports = [
+        conditioning.BoundReport(
+            kind="KappaSummary", value=conditioning.kappa_after(target, precond),
+            inputs={"kappa": kappa},
+        ),
+        conditioning.bound_thm1(
+            conditioning.envelope_eps_eigenvalue(target, precond),
+            conditioning.davis_kahan_delta(eps, precond.eigengap, sigma_d), sigmas),
+    ]
+    try:
+        reports.append(conditioning.bound_thm2(eps, precond.eigengap, sigma_d, sigmas))
+    except BoundInapplicableError:
+        pass
+    reports += [
+        conditioning.bound_thm3(eps, sigma1, env.m),
+        conditioning.improved_gap_threshold(eps_prime, eps, sigma1, env.m, xi),
         # the sandwich holds at proposal variance xi / (M d) with kappa = M/m,
         # the kappa of KappaSummary
-        estimated.append(conditioning.rwm_gap_bounds(
-            env.kappa, target.dim, xi, eps_prime, big_m=env.big_m))
-    for rep in estimated:
-        rep.certified = False
-    reports += estimated
+        conditioning.rwm_gap_bounds(kappa, target.dim, xi, eps_prime, big_m=env.big_m),
+    ]
     if isinstance(target.structure, targets.MultiplicativeStructure):
         reports.append(conditioning.mult_kappa_bounds(target))
         reports.append(conditioning.mult_dalalyan(target))

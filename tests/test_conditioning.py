@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from precond import conditioning, experiments, linalg, preconditioners, targets
-from precond.conditioning import RWM_GAP_CONSTANT, hessian_stack
+from precond.conditioning import RWM_GAP_CONSTANT
 from precond.errors import (
     AssumptionViolationError,
     BoundInapplicableError,
-    DegeneratePairingError,
     NonFiniteInputError,
     PrecondError,
 )
@@ -19,6 +18,8 @@ from precond.experiments import BINOMIAL_LAMBDA
 from precond.targets import DifferentiableTarget, MultiplicativeStructure
 
 import oracles
+import paper_results
+from oracles import DegeneratePairingError, hessian_stack
 from test_fixtures import SIGMA_PI_FIXTURE, random_spd
 
 
@@ -191,23 +192,23 @@ def test_measured_constants_vanish_at_whitening():
     p = preconditioners.dense_covariance_preconditioner(sigma)
     probes = rng.standard_normal((20, 3))
     hs = hessian_stack(t, probes)
-    assert conditioning.measure_eps_eigenvalue(hs, p) <= 1e-10
-    assert conditioning.measure_delta_eigenvector(hs, p) <= 1e-10
-    assert conditioning.measure_eps_norm(hs, p) <= 1e-10
+    assert oracles.measure_eps_eigenvalue(hs, p) <= 1e-10
+    assert oracles.measure_delta_eigenvector(hs, p) <= 1e-10
+    assert oracles.measure_eps_norm(hs, p) <= 1e-10
 
 
 def test_measure_delta_degenerate_spectrum_raises():
     t = targets.gaussian_target(np.zeros(3), np.eye(3))
     p = preconditioners.identity_preconditioner(3)
     with pytest.raises(DegeneratePairingError):
-        conditioning.measure_delta_eigenvector(hessian_stack(t, np.zeros((1, 3))), p)
+        oracles.measure_delta_eigenvector(hessian_stack(t, np.zeros((1, 3))), p)
 
 
 def test_empty_probes_raise():
     t = targets.gaussian_target(np.zeros(2), np.eye(2))
     p = preconditioners.identity_preconditioner(2)
     with pytest.raises(PrecondError):
-        conditioning.measure_eps_eigenvalue(hessian_stack(t, []), p)
+        oracles.measure_eps_eigenvalue(hessian_stack(t, []), p)
 
 
 def test_hyperbolic_norm_slack_at_most_lambda():
@@ -216,7 +217,7 @@ def test_hyperbolic_norm_slack_at_most_lambda():
     p = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
     rng = np.random.default_rng(6)
     probes = rng.standard_normal((30, 3))
-    eps = conditioning.measure_eps_norm(hessian_stack(t, probes), p)
+    eps = oracles.measure_eps_norm(hessian_stack(t, probes), p)
     assert eps <= lam / p.sigma_sq[-1] + 1e-12
 
 
@@ -235,7 +236,67 @@ def test_envelope_eps_exact_cases():
         p = preconditioners.from_matrix(random_spd(rng, 3))
         probes = rng.standard_normal((4, 3))
         assert conditioning.envelope_eps(t, p) == pytest.approx(
-            conditioning.measure_eps_norm(hessian_stack(t, probes), p), rel=1e-12)
+            oracles.measure_eps_norm(hessian_stack(t, probes), p), rel=1e-12)
+
+
+def test_envelope_eps_eigenvalue_and_hessian_variation_exact_cases():
+    # hyperbolic with L = A^{1/2}: lambda_i(H_up) = sigma_i^2 + lambda and
+    # H_lo = LL^T, so eps_eig = lambda / sigma_d^2; H_up - H_lo = lambda I
+    for d, seed in [(2, 1), (3, 5), (6, 9)]:
+        x_mat, y, lam = targets.synth_regression_data(d, 4 * d, seed)
+        t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+        p = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
+        assert conditioning.envelope_eps_eigenvalue(t, p) == pytest.approx(
+            lam / p.sigma_sq[-1], rel=1e-10)
+        assert conditioning.envelope_hessian_variation(t) == pytest.approx(
+            lam / t.envelope.m, rel=1e-12)
+    # a Gaussian's Hessian is constant: one probe measures eps_eig, and it
+    # never varies
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        t = targets.gaussian_target(np.zeros(3), random_spd(rng, 3))
+        p = preconditioners.from_matrix(random_spd(rng, 3))
+        assert conditioning.envelope_eps_eigenvalue(t, p) == pytest.approx(
+            oracles.measure_eps_eigenvalue(hessian_stack(t, np.zeros((1, 3))), p),
+            rel=1e-12)
+        assert conditioning.envelope_hessian_variation(t) == 0.0
+
+
+def test_davis_kahan_delta_cases():
+    assert conditioning.davis_kahan_delta(0.25, 1.0, 1.0) == pytest.approx(0.75)
+    assert conditioning.davis_kahan_delta(0.0, 1.0, 1.0) == 0.0
+    assert conditioning.davis_kahan_delta(0.1, 0.0, 1.0) == 1.0  # no eigengap
+    assert conditioning.davis_kahan_delta(0.6, 1.0, 1.0) == 1.0  # t = 1.2
+    # scaling L by c scales gamma by c^2 and leaves eps alone: delta must not move
+    for c in (0.01, 0.1, 10.0, 100.0):
+        assert conditioning.davis_kahan_delta(0.1, 2.0 * c**2, c) == pytest.approx(
+            conditioning.davis_kahan_delta(0.1, 2.0, 1.0), rel=1e-12)
+
+
+def test_theorem_bounds_hold_at_every_scale_of_l():
+    # Two Gaussians against a diagonal L: a precision with the spectrum of LL^T
+    # but rotated eigenvectors (eps_eig = 0, so only delta sees the
+    # misalignment), and one spreading by 1/2 both ways around a near-isotropic
+    # LL^T. Scaling L and the precision by c^2 leaves kappa_L where it is.
+    rot = linalg.givens_rotation(math.pi / 4)
+    cases = ((np.diag([2.0, 1.0]), np.diag([2.0, 1.0])),
+             (np.diag([1.5, 0.5]), np.diag([1.0 + 1e-6, 1.0])))
+    for c in (0.1, 1.0, 10.0, 100.0):
+        for spectrum, llt in cases:
+            prec = c**2 * rot @ spectrum @ rot.T
+            t = targets.gaussian_target(np.zeros(2), linalg.sym_inv(0.5 * (prec + prec.T)))
+            reports = experiments.analyze(t, preconditioners.from_matrix(c * np.sqrt(llt)))
+            kappa_l = reports[0].value
+            for rep in reports:
+                if rep.kind in ("Thm1", "Thm2", "Thm3"):
+                    assert rep.value >= kappa_l * (1 - 1e-10), (c, rep.kind)
+
+
+def test_thm2_refuses_a_norm_slack_of_one_or_more():
+    # ||hessian - LL^T|| <= sigma_d^2 eps with eps >= 1 lets lambda_d(x) reach 0
+    assert conditioning.bound_thm2(0.999, 1e9, 1.0, np.array([2.0, 1.0])).value > 0
+    with pytest.raises(BoundInapplicableError, match="at least 1"):
+        conditioning.bound_thm2(1.0, 1e9, 1.0, np.array([2.0, 1.0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -274,7 +335,7 @@ def test_norm_slack_controls_eigenvalue_deviation():
     l = linalg.sym_inv_sqrt(sigma) + 0.05 * np.eye(3)
     p = preconditioners.from_matrix(l)
     probes = rng.standard_normal((10, 3))
-    eps_norm = conditioning.measure_eps_norm(hessian_stack(t, probes), p)
+    eps_norm = oracles.measure_eps_norm(hessian_stack(t, probes), p)
     sig = p.sigma_sq
     for x in probes:
         vals = np.sort(np.linalg.eigvalsh(t.hessian(x)))[::-1]
@@ -375,12 +436,12 @@ def test_stacked_measurements_equal_per_probe_loops(family, d, n_probes, scale, 
     m = float(rng.uniform(0.1, 2.0))
     hs = hessian_stack(t, probes)
     for got, want in (
-        (_outcome(conditioning.measure_eps_eigenvalue, hs, p),
+        (_outcome(oracles.measure_eps_eigenvalue, hs, p),
          _outcome(_ref_eps_eigenvalue, t, p, probes)),
-        (_outcome(conditioning.measure_delta_eigenvector, hs, p),
+        (_outcome(oracles.measure_delta_eigenvector, hs, p),
          _outcome(_ref_delta_eigenvector, t, p, probes)),
-        (conditioning.measure_eps_norm(hs, p), _ref_eps_norm(t, p, probes)),
-        (conditioning.measure_eps_hessian_variation(hs, m),
+        (oracles.measure_eps_norm(hs, p), _ref_eps_norm(t, p, probes)),
+        (oracles.measure_eps_hessian_variation(hs, m),
          _ref_eps_hessian_variation(t, probes, m)),
     ):
         assert got == want
@@ -392,8 +453,8 @@ def test_hessian_variation_chunks_give_the_same_eps(monkeypatch):
     probes = np.random.default_rng(4).standard_normal((30, 3))
     want = _ref_eps_hessian_variation(t, probes, 0.7)
     for floats in (9, 9 * 7, 1 << 20):  # 1 pair, 7 pairs, all 435 pairs per chunk
-        monkeypatch.setattr(conditioning, "PAIR_CHUNK_FLOATS", floats)
-        assert conditioning.measure_eps_hessian_variation(hessian_stack(t, probes), 0.7) == want
+        monkeypatch.setattr(oracles, "PAIR_CHUNK_FLOATS", floats)
+        assert oracles.measure_eps_hessian_variation(hessian_stack(t, probes), 0.7) == want
 
 
 def test_cosine_kappa_after_equals_per_point_loop():
@@ -427,16 +488,16 @@ def test_measurements_raise_at_the_first_offending_probe():
     t = _diag_hessian_target(lambda x: [3.0, x[0]])
     probes = np.array([[1.0, 0.0], [-2.0, 0.0], [-3.0, 0.0]])
     with pytest.raises(AssumptionViolationError, match="-2.000e[+]00"):
-        conditioning.measure_eps_eigenvalue(hessian_stack(t, probes), p)
+        oracles.measure_eps_eigenvalue(hessian_stack(t, probes), p)
     # eigengaps 1, 1e-12 and 0 at the three probes
     t = _diag_hessian_target(lambda x: [1.0, 1.0 + x[0]])
     probes = np.array([[1.0, 0.0], [1e-12, 0.0], [0.0, 0.0]])
     with pytest.raises(DegeneratePairingError, match="1.000e-12"):
-        conditioning.measure_delta_eigenvector(hessian_stack(t, probes), p)
+        oracles.measure_delta_eigenvector(hessian_stack(t, probes), p)
     # the gap tolerance scales with the largest eigenvalue: 5e-9 < 1e-10 * 100
     t = _diag_hessian_target(lambda x: [100.0, 1.0 + 5e-9, 1.0], dim=3)
     with pytest.raises(DegeneratePairingError, match="5.000e-09"):
-        conditioning.measure_delta_eigenvector(
+        oracles.measure_delta_eigenvector(
             hessian_stack(t, np.zeros((1, 3))), preconditioners.identity_preconditioner(3))
 
 
@@ -445,10 +506,10 @@ def test_measurements_reject_nonfinite_and_empty_probe_sets():
     t = _diag_hessian_target(lambda x: [2.0, 1.0 / x[0] if x[0] else np.inf])
     probes = np.array([[1.0, 0.0], [0.0, 0.0]])
     measures = (
-        lambda probes: conditioning.measure_eps_eigenvalue(hessian_stack(t, probes), p),
-        lambda probes: conditioning.measure_delta_eigenvector(hessian_stack(t, probes), p),
-        lambda probes: conditioning.measure_eps_norm(hessian_stack(t, probes), p),
-        lambda probes: conditioning.measure_eps_hessian_variation(
+        lambda probes: oracles.measure_eps_eigenvalue(hessian_stack(t, probes), p),
+        lambda probes: oracles.measure_delta_eigenvector(hessian_stack(t, probes), p),
+        lambda probes: oracles.measure_eps_norm(hessian_stack(t, probes), p),
+        lambda probes: oracles.measure_eps_hessian_variation(
             hessian_stack(t, probes), 1.0),
     )
     for measure in measures:
@@ -456,7 +517,7 @@ def test_measurements_reject_nonfinite_and_empty_probe_sets():
             measure(probes)
         with pytest.raises(PrecondError, match="probe set is empty"):
             measure(np.zeros((0, 2)))
-    assert conditioning.measure_eps_hessian_variation(hessian_stack(t, probes[:1]), 1.0) == 0.0
+    assert oracles.measure_eps_hessian_variation(hessian_stack(t, probes[:1]), 1.0) == 0.0
 
 
 # -- theorem bounds ------------------------------------------------------------
@@ -528,14 +589,14 @@ def test_bound_soundness_constant_hessian(seed):
     probes = rng.standard_normal((5, 3))
     exact = conditioning.kappa_after(t, p)
     hs = hessian_stack(t, probes)
-    eps = conditioning.measure_eps_eigenvalue(hs, p)
+    eps = oracles.measure_eps_eigenvalue(hs, p)
     try:
-        delta = conditioning.measure_delta_eigenvector(hs, p)
+        delta = oracles.measure_delta_eigenvector(hs, p)
     except DegeneratePairingError:
         delta = 1.0
     sigmas = np.sqrt(p.sigma_sq)
     assert exact <= conditioning.bound_thm1(eps, delta, sigmas).value * (1 + 1e-8)
-    eps_n = conditioning.measure_eps_norm(hs, p)
+    eps_n = oracles.measure_eps_norm(hs, p)
     m = float(np.linalg.eigvalsh(sigma)[-1] ** -1)
     assert exact <= conditioning.bound_thm3(eps_n, sigmas[0], m).value * (1 + 1e-8)
     if p.eigengap > 0:
@@ -551,17 +612,17 @@ def test_bound_soundness_constant_hessian(seed):
 # -- Givens misalignment construction -------------------------------------------
 
 def test_givens_delta_zero():
-    assert conditioning.givens_delta_kappa(2.0, 1.0, 0.0).kappa_l == pytest.approx(1.0)
+    assert paper_results.givens_delta_kappa(2.0, 1.0, 0.0).kappa_l == pytest.approx(1.0)
 
 
 def test_givens_quartic_coefficient():
-    g = conditioning.givens_delta_kappa(2.0, 1.0, 0.1)
+    g = paper_results.givens_delta_kappa(2.0, 1.0, 0.1)
     assert g.delta4_coefficient == pytest.approx(0.0625)
 
 
 def test_givens_matches_estimator_on_constructed_gaussian():
     lam1, lam2, delta = 50.0, 1.0, 0.3
-    g = conditioning.givens_delta_kappa(lam1, lam2, delta)
+    g = paper_results.givens_delta_kappa(lam1, lam2, delta)
     rot = linalg.givens_rotation(math.acos(1.0 - delta))
     # covariance G^T D^{-1} G makes L = D^{1/2} realize the closed form
     sigma = rot.T @ np.diag([1.0 / lam1, 1.0 / lam2]) @ rot
@@ -573,7 +634,7 @@ def test_givens_matches_estimator_on_constructed_gaussian():
 
 def test_givens_rejects_equal_eigenvalues():
     with pytest.raises(PrecondError):
-        conditioning.givens_delta_kappa(1.0, 1.0, 0.1)
+        paper_results.givens_delta_kappa(1.0, 1.0, 0.1)
 
 
 # -- multiplicative Hessian bounds ----------------------------------------------
@@ -701,10 +762,12 @@ def test_mult_requires_structure():
 # -- Fisher, gap sandwich, threshold ---------------------------------------------
 
 def test_fisher_bound_examples():
-    assert conditioning.fisher_bound(0.0, 1.0, 1.0, 1.0).value == pytest.approx(1.0)
-    rep = conditioning.fisher_bound(0.1, 1.0, 1.0, 1.0)
-    assert rep.value == pytest.approx(1.44)
-    assert rep.extras["norm_bound"] == pytest.approx(0.2)
+    # the square-root-Fisher guarantee (1 + 2 eps)(1 + 2 sigma_1^2 eps / m) is
+    # Thm3 at twice the norm slack
+    for eps, sigma1, m in ((0.0, 1.0, 1.0), (0.1, 1.0, 1.0), (0.3, 2.0, 0.5)):
+        fisher = (1.0 + 2.0 * eps) * (1.0 + 2.0 * sigma1**2 * eps / m)
+        assert conditioning.bound_thm3(2.0 * eps, sigma1, m).value == fisher
+    assert conditioning.bound_thm3(0.2, 1.0, 1.0).value == pytest.approx(1.44)
 
 
 def test_rwm_gap_bounds_example():
@@ -756,12 +819,12 @@ def test_threshold_certifies_gap_improvement():
 def test_ou_gap_whitening():
     rng = np.random.default_rng(14)
     sigma = random_spd(rng, 3)
-    gap, ok = conditioning.ou_spectral_gap(linalg.sym_inv_sqrt(sigma), sigma)
+    gap, ok = paper_results.ou_spectral_gap(linalg.sym_inv_sqrt(sigma), sigma)
     assert ok and gap == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ou_gap_diag_example():
-    gap, ok = conditioning.ou_spectral_gap(np.diag([2.0, 0.5]), np.eye(2))
+    gap, ok = paper_results.ou_spectral_gap(np.diag([2.0, 0.5]), np.eye(2))
     assert ok and gap == pytest.approx(0.25)
 
 
@@ -771,7 +834,7 @@ def test_ou_gap_maximized_at_whitening():
     root = linalg.sym_inv_sqrt(sigma)
     for c in (0.3, 0.7, 1.0, 1.6, 3.0):
         l = np.diag([c, 1.0 / c]) @ root
-        gap, ok = conditioning.ou_spectral_gap(l, sigma)
+        gap, ok = paper_results.ou_spectral_gap(l, sigma)
         assert ok
         if c == 1.0:
             assert gap == pytest.approx(1.0, abs=1e-9)
@@ -786,7 +849,7 @@ def test_localisation_trivial_gaussian():
     sigma = random_spd(rng, 3)
     prec = linalg.sym_inv(sigma)
     mu = rng.standard_normal(3)
-    p_minus, p_plus, bound = conditioning.covariance_localisation(prec, prec, mu, mu)
+    p_minus, p_plus, bound = paper_results.covariance_localisation(prec, prec, mu, mu)
     assert np.allclose(p_minus, prec) and np.allclose(p_plus, prec)
     assert bound == pytest.approx(0.0, abs=1e-12)
 
@@ -797,7 +860,7 @@ def test_localisation_sandwiches_gaussian_precision():
     prec = linalg.sym_inv(sigma)
     mu = np.zeros(3)
     x_star = 0.05 * rng.standard_normal(3)
-    p_minus, p_plus, bound = conditioning.covariance_localisation(
+    p_minus, p_plus, bound = paper_results.covariance_localisation(
         0.9 * prec, 1.1 * prec, x_star, mu
     )
     assert linalg.loewner_leq(p_minus, prec, tol=1e-9)
@@ -808,14 +871,14 @@ def test_localisation_sandwiches_gaussian_precision():
 def test_localisation_rejects_large_displacement():
     prec = np.eye(2)
     with pytest.raises(BoundInapplicableError):
-        conditioning.covariance_localisation(prec, prec, np.array([2.0, 0.0]), np.zeros(2))
+        paper_results.covariance_localisation(prec, prec, np.array([2.0, 0.0]), np.zeros(2))
 
 
 def test_localisation_additive_vanishes_in_limit():
     a = np.diag([2.0, 3.0])
     mu = np.zeros(2)
     vals = [
-        conditioning.covariance_localisation_additive(a, eps, mu, mu).value
+        paper_results.covariance_localisation_additive(a, eps, mu, mu).value
         for eps in (0.1, 0.01, 0.001)
     ]
     assert vals[0] > vals[1] > vals[2]
@@ -824,7 +887,7 @@ def test_localisation_additive_vanishes_in_limit():
 
 def test_localisation_additive_requires_eps_below_a():
     with pytest.raises(BoundInapplicableError):
-        conditioning.covariance_localisation_additive(
+        paper_results.covariance_localisation_additive(
             np.eye(2), 1.5, np.zeros(2), np.zeros(2)
         )
 
@@ -832,7 +895,7 @@ def test_localisation_additive_requires_eps_below_a():
 def test_localisation_additive_hyperbolic_finite():
     x_mat, y, lam = targets.synth_regression_data(3, 20, 18)
     a = x_mat.T @ x_mat
-    rep = conditioning.covariance_localisation_additive(
+    rep = paper_results.covariance_localisation_additive(
         a, lam, 0.01 * np.ones(3), np.zeros(3)
     )
     assert np.isfinite(rep.value) and rep.value > 0

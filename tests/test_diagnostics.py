@@ -10,6 +10,8 @@ from precond import diagnostics, preconditioners, samplers, targets
 from precond.errors import PrecondError, ZeroVarianceError
 from precond.samplers import ChainConfig
 
+import paper_results
+
 
 def _ar1(rho, n, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
@@ -93,7 +95,7 @@ def test_empirical_gap_iid_near_one():
         x0=trace.x0,
         final_step_size=trace.final_step_size,
     )
-    est, se = diagnostics.empirical_gap_upper(iid_trace, np.array([1.0, 0.0]))
+    est, se = paper_results.empirical_gap_upper(iid_trace, np.array([1.0, 0.0]))
     assert est == pytest.approx(1.0, abs=0.05)
     assert se < 0.05
 
@@ -106,7 +108,7 @@ def test_empirical_gap_sticky_chain_near_zero():
         n_steps=20000, seed=11,
     )
     trace = samplers.rwm_chain(t, cfg, x0=np.array([1.0]))
-    est, _ = diagnostics.empirical_gap_upper(trace, np.array([1.0]))
+    est, _ = paper_results.empirical_gap_upper(trace, np.array([1.0]))
     assert est < 0.01
 
 
@@ -124,7 +126,7 @@ def test_empirical_gap_respects_theorem_ceiling():
         n_steps=400000, seed=12,
     )
     trace = samplers.rwm_chain(t, cfg)
-    est, se = diagnostics.empirical_gap_upper(trace, np.array([1.0, 0.0]))
+    est, se = paper_results.empirical_gap_upper(trace, np.array([1.0, 0.0]))
     assert est <= xi / (2 * kappa * d) + 4 * se
 
 
@@ -137,9 +139,9 @@ def test_empirical_gap_validation():
     )
     trace = samplers.rwm_chain(t, cfg)
     with pytest.raises(PrecondError):
-        diagnostics.empirical_gap_upper(trace, np.zeros(1))
+        paper_results.empirical_gap_upper(trace, np.zeros(1))
     with pytest.raises(PrecondError):
-        diagnostics.empirical_gap_upper(trace, np.array([1.0]), batches=150)
+        paper_results.empirical_gap_upper(trace, np.array([1.0]), batches=150)
 
 
 def _reference_ess(series):

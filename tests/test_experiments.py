@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precond import (
     cli, conditioning, diagnostics, experiments, linalg, preconditioners, samplers, targets,
@@ -24,7 +30,9 @@ from precond.experiments import (
     save_result,
 )
 
-from test_fixtures import SIGMA_PI_FIXTURE
+import oracles
+from oracles import DegeneratePairingError
+from test_fixtures import SIGMA_PI_FIXTURE, random_spd
 
 
 TINY = ExperimentConfig(
@@ -184,7 +192,7 @@ def test_verify_bounds_runs_no_mode_search_or_probe_chain(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify-bounds reads its constants in closed form")
 
-    monkeypatch.setattr(conditioning, "default_probes", refuse)
+    monkeypatch.setattr(samplers, "rwm_chain", refuse)
     monkeypatch.setattr(samplers, "find_mode", refuse)
     cfg = ExperimentConfig(experiment="verify-bounds", master_seed=11,
                            extra={"n_instances": 3, "n_preconditioners": 2})
@@ -365,7 +373,7 @@ def test_analyze_fixture_with_diag(tmp_path):
 
     t = targets.gaussian_target(np.zeros(5), SIGMA_PI_FIXTURE)
     p = preconditioners.diag_covariance_preconditioner(SIGMA_PI_FIXTURE)
-    reports = analyze(t, p, seed=0)
+    reports = analyze(t, p)
     kinds = [r.kind for r in reports]
     assert kinds[0] == "KappaSummary"
     assert round(reports[0].value, -2) == 8100.0
@@ -416,19 +424,30 @@ def test_cli_analyze_rejects_singular_or_empty_preconditioner(tmp_path, capsys, 
         preconditioners.from_csv(text)
 
 
-def test_cli_analyze_marks_probe_bounds_estimated(tmp_path, capsys):
+def test_cli_analyze_prints_no_estimated_reports(tmp_path, capsys):
     sigma = "\n".join(",".join(repr(float(v)) for v in row) for row in SIGMA_PI_FIXTURE)
     path = _write(tmp_path, "g.txt", f"model: gaussian\nmatrix sigma 5:\n{sigma}\n")
     assert cli.main(["analyze", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
-    flags = {rep["kind"]: rep["certified"]
-             for rep in json.loads((tmp_path / "analyze_bounds.json").read_text())}
-    probe_based = {"Thm1", "Thm2", "Thm3", "ImprovedGapThreshold", "GapSandwich"}
-    assert {"Thm3", "GapSandwich", "KappaSummary", "DiagDominance"} <= set(flags)
-    for kind, certified in flags.items():
-        assert certified == (kind not in probe_based)
-        label = "[certified]" if certified else "[estimated]"
-        assert any(ln.startswith(kind) and ln.endswith(label) for ln in out.splitlines())
+    reports = json.loads((tmp_path / "analyze_bounds.json").read_text())
+    kinds = [rep["kind"] for rep in reports]
+    assert kinds == ["KappaSummary", "Thm1", "Thm3", "ImprovedGapThreshold",
+                     "GapSandwich", "DiagDominance"]
+    assert all("certified" not in rep for rep in reports)
+    assert "[estimated]" not in out and "[certified]" not in out
+    for kind in kinds:
+        assert any(ln.startswith(kind) and " value=" in ln for ln in out.splitlines())
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, precond, precond.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_analyze_missing_file(tmp_path, capsys):
@@ -616,8 +635,8 @@ def _counterproductive_per_arm(config):
         ]
         traces = samplers.run_chains(target, cfgs, x0s)
         rows += [
-            experiments._measure_row("counterproductive", d, d, 0.0, arm.label,
-                                     chain, seed, trace, 0.0)
+            experiments._chain_row("counterproductive", d, d, 0.0, arm.label,
+                                   chain, seed, trace, 0.0)
             for chain, seed, trace in zip(chains, seeds, traces)
         ]
     return ExperimentResult("counterproductive", rows)
@@ -656,77 +675,25 @@ def _trace(states):
 def test_measure_row_marks_only_zero_variance_stuck():
     with pytest.raises(ZeroVarianceError, match="zero variance"):
         diagnostics.ess(np.zeros(200))
-    row = experiments._measure_row("counterproductive", 2, 2, 0.0, "none", 0, 1,
-                                   _trace(np.zeros((200, 2))), 0.5)
+    row = experiments._chain_row("counterproductive", 2, 2, 0.0, "none", 0, 1,
+                                 _trace(np.zeros((200, 2))), 0.5)
     assert row["status"] == "stuck" and row["median_ess"] == 1.0
     assert row["ess_per_dim"] == "1.0;1.0" and row["acceptance"] == 0.0
     # a series too short for ESS is not a stuck chain
     with pytest.raises(PrecondError, match="at least") as err:
-        experiments._measure_row("counterproductive", 2, 2, 0.0, "none", 0, 1,
-                                 _trace(np.arange(100.0).reshape(50, 2)), 0.5)
+        experiments._chain_row("counterproductive", 2, 2, 0.0, "none", 0, 1,
+                               _trace(np.arange(100.0).reshape(50, 2)), 0.5)
     assert not isinstance(err.value, ZeroVarianceError)
 
 
-# -- analyze with one Hessian stack ----------------------------------------------
+# -- analyze reads every constant from the Loewner pair ---------------------------
 
-def _analyze_from_public_measures(target, precond, seed=0, xi=1.0):
-    """analyze with each measure_* call evaluating its own Hessian stack."""
-    reports = [conditioning.BoundReport(
-        kind="KappaSummary", value=conditioning.kappa_after(target, precond),
-        inputs={"kappa": conditioning.condition_number(target)},
-    )]
-    probes = conditioning.default_probes(target, precond, seed=seed,
-                                         n_chain=64, n_local=64)
-    eps_eig = conditioning.measure_eps_eigenvalue(
-        conditioning.hessian_stack(target, probes), precond)
-    eps_norm = conditioning.measure_eps_norm(
-        conditioning.hessian_stack(target, probes), precond)
-    sigmas = np.sqrt(precond.sigma_sq)
-    try:
-        delta = conditioning.measure_delta_eigenvector(
-            conditioning.hessian_stack(target, probes), precond)
-        reports.append(conditioning.bound_thm1(eps_eig, delta, sigmas))
-    except PrecondError:
-        pass
-    try:
-        reports.append(conditioning.bound_thm2(
-            eps_norm, precond.eigengap, float(sigmas[-1]), sigmas))
-    except PrecondError:
-        pass
-    m = target.envelope.m if target.envelope is not None else None
-    if m is not None:
-        reports.append(conditioning.bound_thm3(eps_norm, float(sigmas[0]), m))
-        eps_prime = conditioning.measure_eps_hessian_variation(
-            conditioning.hessian_stack(target, probes[:16]), m)
-        reports.append(conditioning.improved_gap_threshold(
-            eps_prime, eps_norm, float(sigmas[0]), m, xi))
-        # the sandwich holds at proposal variance xi / (M d) with kappa = M/m,
-        # so it reads both from the scalar envelope
-        reports.append(conditioning.rwm_gap_bounds(
-            target.envelope.kappa, target.dim, xi, eps_prime,
-            big_m=target.envelope.big_m))
-    # every bound above KappaSummary's reads a probe-measured constant
-    for rep in reports[1:]:
-        rep.certified = False
-    if isinstance(target.structure, targets.MultiplicativeStructure):
-        reports.append(conditioning.mult_kappa_bounds(target))
-        reports.append(conditioning.mult_dalalyan(target))
-    if target.exact_covariance is not None:
-        reports.append(conditioning.diag_dominance_bound(target.exact_covariance))
-    return reports
+def test_analyze_runs_no_mode_search_probe_chain_or_hessian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze reads its constants in closed form")
 
-
-def _counting_hessian(target):
-    calls = []
-
-    def hessian(x):
-        calls.append(1)
-        return target.hessian(x)
-
-    return replace(target, hessian=hessian), calls
-
-
-def test_analyze_shares_one_hessian_stack():
+    monkeypatch.setattr(samplers, "find_mode", refuse)
+    monkeypatch.setattr(samplers, "rwm_chain", refuse)
     x_mat, y, lam = targets.synth_regression_data(4, 20, 5)
     hyperbolic = (targets.hyperbolic_regression_target(x_mat, y, 1.0, lam),
                   preconditioners.additive_base_preconditioner(x_mat.T @ x_mat))
@@ -734,15 +701,90 @@ def test_analyze_shares_one_hessian_stack():
     binomial = (targets.binomial_gprior_target(x_mat, y, w,
                                                experiments.BINOMIAL_LAMBDA / 15),
                 preconditioners.design_preconditioner(x_mat))
-    for target, precond in (hyperbolic, binomial):
-        shared, shared_calls = _counting_hessian(target)
-        public, public_calls = _counting_hessian(target)
-        got = experiments.analyze(shared, precond, seed=3)
-        want = _analyze_from_public_measures(public, precond, seed=3)
-        assert {"Thm3", "GapSandwich"} <= {r.kind for r in got}
-        assert [r.to_json() for r in got] == [r.to_json() for r in want]
-        # 128 probes: three full stacks and the first 16 again become one stack
-        assert len(public_calls) - len(shared_calls) == 2 * 128 + 16
+    gaussian = (targets.gaussian_target(np.zeros(5), SIGMA_PI_FIXTURE),
+                preconditioners.diag_covariance_preconditioner(SIGMA_PI_FIXTURE))
+    for target, precond in (hyperbolic, binomial, gaussian):
+        target = replace(target, hessian=refuse)
+        kinds = {r.kind for r in experiments.analyze(target, precond)}
+        assert {"KappaSummary", "Thm1", "Thm3", "ImprovedGapThreshold",
+                "GapSandwich"} <= kinds
+
+
+def _certify_binomial_model():
+    """The benchmark's binomial model: d = 10, n = 50, mu = 5, w_i = i^2, design L."""
+    d, n, mu = 10, 50, 5.0
+    rng = np.random.default_rng(2718)
+    x_mat = rng.standard_normal((n, d)) + mu
+    beta0 = rng.standard_normal(d)
+    w = np.arange(1, n + 1, dtype=float) ** 2
+    y = rng.binomial(w.astype(np.int64), 1.0 / (1.0 + np.exp(-(x_mat @ beta0)))) / w
+    target = targets.binomial_gprior_target(x_mat, y, w, experiments.BINOMIAL_LAMBDA / n)
+    return target, preconditioners.design_preconditioner(x_mat)
+
+
+def test_analyze_gap_reports_see_the_binomial_hessian_variation():
+    # an unadapted RWM probe chain never moves on this model, and the Hessian
+    # variation over its states read 0
+    target, precond = _certify_binomial_model()
+    reports = {r.kind: r for r in experiments.analyze(target, precond)}
+    eps_prime = reports["GapSandwich"].inputs["eps"]
+    assert eps_prime > 0
+    assert reports["ImprovedGapThreshold"].inputs["eps_prime"] == eps_prime
+    probes = oracles.default_probes(target, precond, n_chain=64, n_local=64)
+    measured = oracles.measure_eps_hessian_variation(
+        oracles.hessian_stack(target, probes), target.envelope.m)
+    assert 0 < measured <= eps_prime
+
+
+def _random_family(family, d, seed):
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        return targets.gaussian_target(rng.standard_normal(d), random_spd(rng, d))
+    if family == "cosine":
+        m = float(rng.uniform(0.1, 2.0))
+        return targets.cosine_hard_target(m, m * float(rng.uniform(1.0, 50.0)))
+    if family == "hyperbolic":
+        x_mat, y, lam = targets.synth_regression_data(d, 3 * d, seed)
+        return targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
+    x_mat, y, w = targets.synth_binomial_data(d, 4 * d, 1.0, seed)
+    return targets.binomial_gprior_target(x_mat, y, w, 0.01 / (4 * d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["gaussian", "cosine", "hyperbolic", "binomial"]),
+    d=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_analyze_reports_are_sound_and_dominate_the_probe_constants(family, d, seed):
+    target = _random_family(family, d, seed)
+    d = target.dim
+    rng = np.random.default_rng(seed + 1)
+    precond = preconditioners.from_matrix(
+        random_spd(rng, d, spread=float(rng.uniform(0, 3))) * float(rng.uniform(0.1, 10)))
+    reports = {r.kind: r for r in experiments.analyze(target, precond)}
+    kappa_l = reports["KappaSummary"].value
+    for kind in ("Thm1", "Thm2", "Thm3"):
+        if kind in reports:
+            assert reports[kind].value >= kappa_l * (1 - 1e-10), kind
+    # beta = 0 attains H_up for the hyperbolic and binomial families; far out
+    # (every |X_i^T x| >= 60 for the binomial) they approach H_lo
+    v = rng.standard_normal(d)
+    design = target.structure.design if target.structure is not None else np.eye(d)
+    far = v * (60.0 / np.abs(design @ v).min())
+    states = [np.zeros(d), far, 10.0 * far,
+              *(scale * rng.standard_normal(d) for scale in (0.1, 1.0, 5.0))]
+    hs = oracles.hessian_stack(target, states)
+    tol = 1 + 1e-9
+    thm1, thm3, gap = reports["Thm1"], reports["Thm3"], reports["GapSandwich"]
+    assert oracles.measure_eps_eigenvalue(hs, precond) <= thm1.inputs["eps"] * tol + 1e-12
+    assert oracles.measure_eps_norm(hs, precond) <= thm3.inputs["eps"] * tol + 1e-12
+    assert oracles.measure_eps_hessian_variation(hs, target.envelope.m) \
+        <= gap.inputs["eps"] * tol + 1e-12
+    try:
+        assert oracles.measure_delta_eigenvector(hs, precond) <= thm1.inputs["delta"] * tol
+    except DegeneratePairingError:
+        pass
 
 
 # -- hyperbolic rows against a per-arm reference loop ---------------------------
@@ -795,7 +837,7 @@ def _hyperbolic_per_arm(config):
                     ], np.array([burn[chain - batch.start].states[-1] for chain in chosen]))
                     )) if chosen else {}
                     rows_of_arm += [
-                        experiments._measure_row(
+                        experiments._chain_row(
                             "hyperbolic", d, n, 0.0, label, chain, seed, traces.get(chain),
                             0.0, status="ok" if chain in traces else "failed")
                         for chain, seed in zip(batch, seeds)
