@@ -51,9 +51,10 @@ def ess_report(states: np.ndarray) -> EssReport:
     # contiguous rows, so each mean sums pairwise as a lone series's does
     x = np.ascontiguousarray(states.T)
     finite = np.isfinite(x).all(axis=1)
-    with np.errstate(invalid="ignore"):
-        x = x - x.mean(axis=1, keepdims=True)
-    bad = ~finite | (n < MIN_ESS_POINTS) | (np.einsum("ij,ij->i", x, x) == 0.0)
+    # a constant column, tested as is: its float mean need not be the
+    # constant, so the demeaned column need not be zero
+    constant = (x == x[:, :1]).all(axis=1)
+    bad = ~finite | (n < MIN_ESS_POINTS) | constant
     if bad.any():
         j = int(np.argmax(bad))
         if not finite[j]:
@@ -61,6 +62,7 @@ def ess_report(states: np.ndarray) -> EssReport:
         if n < MIN_ESS_POINTS:
             raise PrecondError(f"need at least {MIN_ESS_POINTS} points for ESS, got {n}")
         raise ZeroVarianceError("series has zero variance")
+    x = x - x.mean(axis=1, keepdims=True)
     k_max = min(n // 2, 10_000)
     nfft = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x, nfft, axis=1)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import conditioning, diagnostics, linalg, preconditioners, samplers, targets
 from .errors import (
-    BoundInapplicableError, DefinitenessError, ModelFileError, PrecondError,
-    ZeroVarianceError,
+    BoundInapplicableError, ModelFileError, PrecondError, ZeroVarianceError,
 )
 
 SCHEMA_VERSION = 1
@@ -38,6 +37,16 @@ SIGMA_PI = np.array(
 )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# The keys of a config's `extra` object, each with its least value: a sweep
+# may check no instance, and a covariance estimate needs two states.
+EXTRA_MINIMUMS = {"n_instances": 0, "n_preconditioners": 0,
+                  "short_estimate": 2, "long_estimate": 2}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str                       # counterproductive | hyperbolic | binomial | verify-bounds
@@ -53,13 +62,24 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # the hyperbolic covariance arm estimates from the burn-in, and the
-        # binomial arms measure at its adapted step
-        burn_in_min = 1 if self.experiment in ("hyperbolic", "binomial") else 0
+        unknown = set(self.extra) - set(EXTRA_MINIMUMS)
+        if unknown:
+            raise PrecondError(
+                f"unknown config keys: {sorted('extra.' + k for k in unknown)}")
+        for key, value in self.extra.items():
+            if not _is_int(value):
+                raise PrecondError(
+                    f"config field 'extra.{key}' must be an integer, got {value!r}")
+        # the hyperbolic covariance arm estimates from a chain of burn_in
+        # states, and the binomial arms measure at the burn-in's adapted step
+        burn_in_min = {"hyperbolic": 2, "binomial": 1}.get(self.experiment, 0)
         # a shorter measurement has no ESS
-        for key, least in (("chains_per_cell", 1), ("burn_in", burn_in_min),
-                           ("measure", diagnostics.MIN_ESS_POINTS)):
-            value = getattr(self, key)
+        fields = [(key, getattr(self, key), least) for key, least in (
+            ("chains_per_cell", 1), ("burn_in", burn_in_min),
+            ("measure", diagnostics.MIN_ESS_POINTS))]
+        fields += [(f"extra.{key}", value, EXTRA_MINIMUMS[key])
+                   for key, value in self.extra.items()]
+        for key, value, least in fields:
             if value < least:
                 raise PrecondError(
                     f"config field {key!r} must be at least {least}, got {value}"
@@ -218,18 +238,18 @@ class _Slot(NamedTuple):
 
 def _run_slots(
     experiment: str, target, cell: tuple, slots: list, kind: str, step: float,
-    measure: int, burn_in: int = 0, rate: Optional[float] = None, after_burn=None,
+    measure: int, burn_in: int = 0, rate: Optional[float] = None,
 ) -> list:
     """One row per slot, in slot order, from chains run in lock-step batches.
 
     A slot without a preconditioner reads "failed" with wall time 0 and does
-    not run. The others run in the batches of _batches. Without after_burn,
-    each chain measures for `measure` steps from its x0 on its row's seed.
-    With it, each chain first adapts its step toward acceptance `rate` for
-    `burn_in` steps on derive_seed(seed, 0); after_burn(slot, burn_trace)
-    then returns the (preconditioner, step) to measure with, on
-    derive_seed(seed, 1) from the last burn-in state, or None to mark the
-    row failed. Every row of a batch of K chains reports its wall time / K.
+    not run. The others run in the batches of _batches, each under its slot's
+    preconditioner throughout. With burn_in 0, each chain measures for
+    `measure` steps at `step` from its x0 on its row's seed. Otherwise each
+    chain first adapts its step toward acceptance `rate` for `burn_in` steps
+    on derive_seed(seed, 0), then measures at its adapted step from its last
+    burn-in state on derive_seed(seed, 1). Every row of a batch of K chains
+    reports its wall time / K.
     """
     d, n, mu = cell
     rows = [
@@ -241,11 +261,10 @@ def _run_slots(
     for batch in _batches(len(live), max(burn_in, measure), d):
         picked = [slots[live[j]] for j in batch]
         starts = np.array([s.x0 for s in picked])
+        steps = [step] * len(picked)
+        seeds = [s.seed for s in picked]
         t0 = time.perf_counter()
-        if after_burn is None:
-            plans = [(s.precond, step) for s in picked]
-            seeds = [s.seed for s in picked]
-        else:
+        if burn_in:
             burn = samplers.run_chains(target, [
                 samplers.ChainConfig(
                     kind=kind, step_size=step, preconditioner=s.precond,
@@ -254,24 +273,40 @@ def _run_slots(
                 )
                 for s in picked
             ], starts)
-            plans = [after_burn(s, b) for s, b in zip(picked, burn)]
+            steps = [b.final_step_size for b in burn]
             seeds = [derive_seed(s.seed, 1) for s in picked]
             starts = np.array([b.states[-1] for b in burn])
             del burn
-        runs = [j for j, plan in enumerate(plans) if plan is not None]
-        traces = dict(zip(runs, samplers.run_chains(target, [
-            samplers.ChainConfig(kind=kind, step_size=plans[j][1],
-                                 preconditioner=plans[j][0], n_steps=measure,
-                                 seed=seeds[j])
-            for j in runs
-        ], starts[runs]))) if runs else {}
+        traces = samplers.run_chains(target, [
+            samplers.ChainConfig(kind=kind, step_size=h, preconditioner=s.precond,
+                                 n_steps=measure, seed=seed)
+            for s, h, seed in zip(picked, steps, seeds)
+        ], starts)
         wall = (time.perf_counter() - t0) / len(batch)
-        for j, s in enumerate(picked):
+        for j, (s, trace) in enumerate(zip(picked, traces)):
             rows[live[batch[j]]] = _chain_row(
-                experiment, d, n, mu, s.arm, s.chain, s.seed, traces.get(j), wall,
-                status="ok" if j in traces else "failed")
-        del traces  # free this batch's states before the next one
+                experiment, d, n, mu, s.arm, s.chain, s.seed, trace, wall)
+        del traces, trace  # free this batch's states before the next one
     return rows
+
+
+def _estimate_chain(target, kind: str, step: float, precond, n_steps: int, seed: int,
+                    rate: float, x0: np.ndarray) -> samplers.Trace:
+    """One adaptive chain whose states estimate a preconditioner, on the
+    scalar kernel, which is faster than lock-step at K = 1."""
+    return samplers.run_chain(target, samplers.ChainConfig(
+        kind=kind, step_size=step, preconditioner=precond, n_steps=n_steps, seed=seed,
+        adapt=samplers.AdaptConfig(target_rate=rate)), x0)
+
+
+def _covariance_or_none(states: np.ndarray, label: str):
+    """The dense preconditioner of the states' sample covariance, or None
+    when the estimate gives none (too few states, or not positive definite)."""
+    try:
+        return preconditioners.dense_covariance_preconditioner(
+            preconditioners.sample_covariance(states), label=label)
+    except (PrecondError, np.linalg.LinAlgError):
+        return None
 
 
 # -- experiment 1: counterproductive diagonal preconditioning ----------------
@@ -318,9 +353,10 @@ def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
 def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
     """MALA with design, estimated-covariance, and identity preconditioning.
 
-    Each chain adapts its step in burn-in and measures at the fixed d^(-1/6);
-    the covariance arm burns in without preconditioning and measures with
-    the covariance of its own burn-in states. Rows are in chain-major order.
+    The covariance arm is estimated per cell from one MALA chain under the
+    identity (burn_in steps from the least-squares fit; a failed estimate
+    makes its rows "failed"). All three arms of a cell then run in one
+    _run_slots call; rows are in chain-major order.
     """
     result = ExperimentResult(experiment="hyperbolic")
     for di, d in enumerate(config.dims):
@@ -331,7 +367,6 @@ def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
             target = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
             a_mat = x_mat.T @ x_mat
             beta_ls = np.linalg.solve(a_mat, x_mat.T @ y)
-            design = preconditioners.additive_base_preconditioner(a_mat, label="design")
             identity = preconditioners.identity_preconditioner(d, label="none")
             sig_d = float(np.linalg.eigvalsh(a_mat)[0])
             result.bound_rows.append(
@@ -343,32 +378,24 @@ def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
                 )
             )
             step0 = d ** (-1.0 / 6.0)
-
-            def after_burn(slot: _Slot, burn: samplers.Trace):
-                if slot.arm != "covariance":
-                    return slot.precond, step0
-                try:
-                    return preconditioners.dense_covariance_preconditioner(
-                        preconditioners.sample_covariance(burn.states), label="covariance"
-                    ), step0
-                except (DefinitenessError, np.linalg.LinAlgError):
-                    return None
-
-            # One batch per arm: a batch that mixed in the never-moving
-            # fixed-step "none" chains would round them differently, and
-            # some rows of that arm would turn from ok to stuck.
-            arm_rows = [
-                _run_slots("hyperbolic", target, (d, n, 0.0), [
-                    _Slot(label, chain,
-                          derive_seed(config.master_seed, 1, di, mi, arm_idx, chain),
-                          beta_ls, precond)
-                    for chain in range(config.chains_per_cell)
-                ], "MALA", step0, config.measure, config.burn_in, 0.574, after_burn)
-                for arm_idx, (label, precond) in enumerate(
-                    [("design", design), ("covariance", identity), ("none", identity)])
+            estimate = _estimate_chain(
+                target, "MALA", step0, identity, config.burn_in,
+                derive_seed(config.master_seed, 1, di, mi, 3), 0.574, beta_ls,
+            )
+            arms = [
+                ("design", preconditioners.additive_base_preconditioner(a_mat)),
+                ("covariance", _covariance_or_none(estimate.states, "covariance")),
+                ("none", identity),
             ]
-            for chain in range(config.chains_per_cell):  # rows in chain-major order
-                result.rows += [rows[chain] for rows in arm_rows]
+            slots = [
+                _Slot(label, chain,
+                      derive_seed(config.master_seed, 1, di, mi, arm_idx, chain),
+                      beta_ls, precond)
+                for chain in range(config.chains_per_cell)
+                for arm_idx, (label, precond) in enumerate(arms)
+            ]
+            result.rows += _run_slots("hyperbolic", target, (d, n, 0.0), slots, "MALA",
+                                      step0, config.measure, config.burn_in, 0.574)
     return result
 
 
@@ -384,8 +411,8 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
     All seven arms of a cell run in one batch; rows are in arm-major order.
     """
     result = ExperimentResult(experiment="binomial")
-    short_n = int(config.extra.get("short_estimate", 4_000))
-    long_n = int(config.extra.get("long_estimate", 20_000))
+    short_n = config.extra.get("short_estimate", 4_000)
+    long_n = config.extra.get("long_estimate", 20_000)
     for di, d in enumerate(config.dims):
         for mi, mu in enumerate(config.mu_list):
             n = 5 * d
@@ -401,31 +428,21 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
             init_cov_sqrt = design.inv  # (n^-1 X^T X)^{-1/2}
             step0 = 2.38 / math.sqrt(d)
 
-            def estimate_chain(n_steps: int, precond, seed: int) -> samplers.Trace:
-                cfg = samplers.ChainConfig(
-                    kind="RWM", step_size=step0, preconditioner=precond,
-                    n_steps=n_steps, seed=seed,
-                    adapt=samplers.AdaptConfig(target_rate=0.234),
+            short_trace = _estimate_chain(
+                target, "RWM", step0, identity, short_n,
+                derive_seed(config.master_seed, 2, di, mi, 8), 0.234, beta_star,
+            )
+            long_trace = _estimate_chain(
+                target, "RWM", step0, mode_precond, long_n,
+                derive_seed(config.master_seed, 2, di, mi, 9), 0.234, beta_star,
+            )
+
+            arms: list[tuple[str, Optional[preconditioners.Preconditioner]]] = [
+                (label, _covariance_or_none(states, label)) for label, states in (
+                    ("covariance-short", short_trace.states),
+                    ("covariance-long", long_trace.states),
                 )
-                return samplers.rwm_chain(target, cfg, x0=beta_star)
-
-            short_trace = estimate_chain(
-                short_n, identity, derive_seed(config.master_seed, 2, di, mi, 8)
-            )
-            long_trace = estimate_chain(
-                long_n, mode_precond, derive_seed(config.master_seed, 2, di, mi, 9)
-            )
-
-            arms: list[tuple[str, Optional[preconditioners.Preconditioner]]] = []
-            for label, states in (
-                ("covariance-short", short_trace.states),
-                ("covariance-long", long_trace.states),
-            ):
-                try:
-                    arms.append((label, preconditioners.dense_covariance_preconditioner(
-                        preconditioners.sample_covariance(states), label=label)))
-                except DefinitenessError:
-                    arms.append((label, None))
+            ]
             for label, states in (
                 ("fisher-short", short_trace.states[:: max(1, short_n // 2000)]),
                 ("fisher-long", long_trace.states[:: max(1, long_n // 2000)]),
@@ -433,7 +450,7 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                 try:
                     arms.append((label, preconditioners.fisher_preconditioner(
                         target.gradient(states), label=label)))
-                except (DefinitenessError, PrecondError):
+                except PrecondError:
                     arms.append((label, None))
             arms += [("mode", mode_precond), ("none", identity), ("design", design)]
 
@@ -457,7 +474,6 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
             result.rows += _run_slots(
                 "binomial", target, (d, n, mu), slots, "RWM", step0, config.measure,
                 config.burn_in, 0.234,
-                lambda slot, burn: (slot.precond, burn.final_step_size),
             )
     return result
 
@@ -482,8 +498,8 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
     on random preconditioners of the cosine target.
     """
     result = ExperimentResult(experiment="verify-bounds")
-    n_instances = int(config.extra.get("n_instances", 100))
-    n_l = int(config.extra.get("n_preconditioners", 50))
+    n_instances = config.extra.get("n_instances", 100)
+    n_l = config.extra.get("n_preconditioners", 50)
 
     # hyperbolic instances against Theorems 1-3
     for k in range(n_instances):
@@ -694,10 +710,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.experiment not in runners:
         raise PrecondError(f"unknown experiment {config.experiment!r}")
     return runners[config.experiment](config)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_number_list(v) -> bool:

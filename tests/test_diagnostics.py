@@ -208,3 +208,9 @@ def test_ess_rejects_non_series():
         diagnostics.ess(np.zeros((200, 2)))
     with pytest.raises(PrecondError, match="empty"):
         diagnostics.ess_report(np.zeros((200, 0)))
+
+
+def test_ess_report_of_an_empty_chain_raises_without_a_warning():
+    # pytest turns RuntimeWarning into errors, as a mean of no values would raise
+    with pytest.raises(PrecondError, match="at least 100 points for ESS, got 0"):
+        diagnostics.ess_report(np.zeros((0, 2)))

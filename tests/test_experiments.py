@@ -526,9 +526,46 @@ def test_cli_burn_in_is_required_where_arms_are_built_from_it(tmp_path, capsys, 
     code = cli.main(["experiment", "--preset", preset, "--config", cfg_path,
                      "--out", str(tmp_path / "res")])
     assert code == cli.EXIT_CONFIG
+    least = 2 if preset == "paper-4.2-small" else 1  # a covariance estimate needs 2 states
     assert capsys.readouterr().err.startswith(
-        "error: config field 'burn_in' must be at least 1, got 0")
+        f"error: config field 'burn_in' must be at least {least}, got 0")
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("command, override, message", [
+    (["verify-bounds"], {"extra": {"n_instances": -3, "n_preconditioners": -1}},
+     "config field 'extra.n_instances' must be at least 0, got -3"),
+    (["verify-bounds"], {"extra": {"n_preconditioners": -1}},
+     "config field 'extra.n_preconditioners' must be at least 0, got -1"),
+    (["verify-bounds"], {"extra": {"n_instance": 5}},
+     "unknown config keys: ['extra.n_instance']"),
+    (["verify-bounds"], {"extra": {"n_instances": 1.5}},
+     "config field 'extra.n_instances' must be an integer, got 1.5"),
+    (["verify-bounds"], {"extra": {"n_preconditioners": True}},
+     "config field 'extra.n_preconditioners' must be an integer, got True"),
+    (["experiment", "--preset", "paper-4.3-small"], {"extra": {"short_estimate": 1}},
+     "config field 'extra.short_estimate' must be at least 2, got 1"),
+    (["experiment", "--preset", "paper-4.3-small"], {"extra": {"long_estimate": "9"}},
+     "config field 'extra.long_estimate' must be an integer, got '9'"),
+    (["experiment", "--preset", "paper-4.2-small"], {"burn_in": 1},
+     "config field 'burn_in' must be at least 2, got 1"),
+], ids=["negative-sweep", "negative-preconditioners", "misspelt-key", "float", "bool",
+        "short-estimate", "string", "hyperbolic-burn-in"])
+def test_cli_config_checks_name_their_field(tmp_path, capsys, command, override, message):
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
+    code = cli.main(command + ["--config", cfg_path, "--out", str(tmp_path / "res")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "res").exists()
+
+
+def test_extra_keys_are_accepted_on_any_experiment():
+    extra = {"n_instances": 0, "n_preconditioners": 0,
+             "short_estimate": 2, "long_estimate": 2}
+    for experiment in ("counterproductive", "hyperbolic", "binomial", "verify-bounds"):
+        assert ExperimentConfig(experiment=experiment, extra=extra).extra == extra
+    assert replace(PRESETS["paper-4.3-small"], experiment="verify-bounds").extra == {
+        "short_estimate": 4_000, "long_estimate": 20_000}
 
 
 @pytest.mark.parametrize("version", [1.9, "1", True, "x"])
@@ -686,6 +723,16 @@ def test_measure_row_marks_only_zero_variance_stuck():
     assert not isinstance(err.value, ZeroVarianceError)
 
 
+def test_constant_series_reads_stuck_though_its_mean_rounds():
+    # the float mean of 1000 copies of 0.1 is not 0.1
+    assert np.full(1000, 0.1).mean() != 0.1
+    with pytest.raises(ZeroVarianceError, match="zero variance"):
+        diagnostics.ess(np.full(1000, 0.1))
+    row = experiments._chain_row("hyperbolic", 2, 10, 0.0, "none", 0, 1,
+                                 _trace(np.full((1000, 2), 0.1)), 0.5)
+    assert row["status"] == "stuck" and row["median_ess"] == 1.0
+
+
 # -- analyze reads every constant from the Loewner pair ---------------------------
 
 def test_analyze_runs_no_mode_search_probe_chain_or_hessian(monkeypatch):
@@ -789,6 +836,12 @@ def test_analyze_reports_are_sound_and_dominate_the_probe_constants(family, d, s
 
 # -- hyperbolic rows against a per-arm reference loop ---------------------------
 
+HYPERBOLIC_TINY = ExperimentConfig(
+    experiment="hyperbolic", dims=(2, 3), n_multipliers=(5,), chains_per_cell=3,
+    burn_in=200, measure=200, master_seed=13,
+)
+
+
 def _hyperbolic_per_arm(config):
     """The hyperbolic experiment written out arm by arm and batch by batch."""
     rows = []
@@ -801,46 +854,49 @@ def _hyperbolic_per_arm(config):
             a_mat = x_mat.T @ x_mat
             beta_ls = np.linalg.solve(a_mat, x_mat.T @ y)
             identity = preconditioners.identity_preconditioner(d, label="none")
-            arms = [("design", preconditioners.additive_base_preconditioner(a_mat)),
-                    ("covariance", None), ("none", identity)]
             step0 = d ** (-1.0 / 6.0)
+            estimate = samplers.mala_chain(target, samplers.ChainConfig(
+                kind="MALA", step_size=step0, preconditioner=identity,
+                n_steps=config.burn_in, seed=derive_seed(config.master_seed, 1, di, mi, 3),
+                adapt=samplers.AdaptConfig(target_rate=0.574)), beta_ls)
+            try:
+                covariance = preconditioners.dense_covariance_preconditioner(
+                    preconditioners.sample_covariance(estimate.states), label="covariance")
+            except DefinitenessError:
+                covariance = None
+            arms = [("design", preconditioners.additive_base_preconditioner(a_mat)),
+                    ("covariance", covariance), ("none", identity)]
             arm_rows = []
-            for arm_idx, (label, base) in enumerate(arms):
-                burn_precond = identity if base is None else base
+            for arm_idx, (label, precond) in enumerate(arms):
+                seeds = [derive_seed(config.master_seed, 1, di, mi, arm_idx, chain)
+                         for chain in range(config.chains_per_cell)]
+                if precond is None:
+                    arm_rows.append([
+                        experiments._chain_row("hyperbolic", d, n, 0.0, label, chain, seed,
+                                               None, 0.0, status="failed")
+                        for chain, seed in enumerate(seeds)])
+                    continue
                 rows_of_arm = []
                 for batch in experiments._batches(config.chains_per_cell,
                                                   max(config.burn_in, config.measure), d):
-                    seeds = [derive_seed(config.master_seed, 1, di, mi, arm_idx, chain)
-                             for chain in batch]
                     burn = samplers.run_chains(target, [
                         samplers.ChainConfig(
-                            kind="MALA", step_size=step0, preconditioner=burn_precond,
-                            n_steps=config.burn_in, seed=derive_seed(seed, 0),
-                            adapt=samplers.AdaptConfig(target_rate=0.574))
-                        for seed in seeds
-                    ], np.tile(beta_ls, (len(batch), 1)))
-                    chosen = {}
-                    for chain, trace in zip(batch, burn):
-                        try:
-                            chosen[chain] = base if base is not None else (
-                                preconditioners.dense_covariance_preconditioner(
-                                    preconditioners.sample_covariance(trace.states),
-                                    label="covariance"))
-                        except DefinitenessError:
-                            pass
-                    traces = dict(zip(chosen, samplers.run_chains(target, [
-                        samplers.ChainConfig(
                             kind="MALA", step_size=step0, preconditioner=precond,
-                            n_steps=config.measure,
-                            seed=derive_seed(seeds[chain - batch.start], 1))
-                        for chain, precond in chosen.items()
-                    ], np.array([burn[chain - batch.start].states[-1] for chain in chosen]))
-                    )) if chosen else {}
+                            n_steps=config.burn_in, seed=derive_seed(seeds[chain], 0),
+                            adapt=samplers.AdaptConfig(target_rate=0.574))
+                        for chain in batch
+                    ], np.tile(beta_ls, (len(batch), 1)))
+                    traces = samplers.run_chains(target, [
+                        samplers.ChainConfig(
+                            kind="MALA", step_size=trace.final_step_size,
+                            preconditioner=precond, n_steps=config.measure,
+                            seed=derive_seed(seeds[chain], 1))
+                        for chain, trace in zip(batch, burn)
+                    ], np.array([trace.states[-1] for trace in burn]))
                     rows_of_arm += [
-                        experiments._chain_row(
-                            "hyperbolic", d, n, 0.0, label, chain, seed, traces.get(chain),
-                            0.0, status="ok" if chain in traces else "failed")
-                        for chain, seed in zip(batch, seeds)
+                        experiments._chain_row("hyperbolic", d, n, 0.0, label, chain,
+                                               seeds[chain], trace, 0.0)
+                        for chain, trace in zip(batch, traces)
                     ]
                 arm_rows.append(rows_of_arm)
             for chain in range(config.chains_per_cell):
@@ -848,13 +904,25 @@ def _hyperbolic_per_arm(config):
     return ExperimentResult("hyperbolic", rows)
 
 
+def _assert_rows_alike(got, want):
+    """Rows of one experiment run in different batches: a batched potential
+    rounds differently, so only the last digits of the ESS may move."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for col in ("d", "n", "arm", "chain", "seed", "status"):
+            assert g[col] == w[col]
+        if w["status"] == "failed":
+            assert math.isnan(g["median_ess"]) and math.isnan(g["acceptance"])
+        else:
+            assert g["acceptance"] == w["acceptance"]
+            assert g["median_ess"] == pytest.approx(w["median_ess"], rel=1e-12)
+
+
 @pytest.mark.parametrize("chains_per_cell, chains_per_batch",
                          [(1, None), (3, None), (3, 2), (3, 1)])
 def test_hyperbolic_rows_match_per_arm_reference(monkeypatch, chains_per_cell,
                                                  chains_per_batch):
-    cfg = ExperimentConfig(experiment="hyperbolic", dims=(2, 3), n_multipliers=(5,),
-                           chains_per_cell=chains_per_cell, burn_in=200, measure=200,
-                           master_seed=13)
+    cfg = replace(HYPERBOLIC_TINY, chains_per_cell=chains_per_cell)
     if chains_per_batch is not None:
         monkeypatch.setattr(experiments, "BATCH_STATE_BYTES", chains_per_batch * 8 * 200 * 3)
         assert len(experiments._batches(chains_per_cell, 200, 3)) > 1
@@ -862,7 +930,7 @@ def test_hyperbolic_rows_match_per_arm_reference(monkeypatch, chains_per_cell,
     calls = []
 
     def second_fails(sigma, label="dense"):
-        # the second covariance estimate of every run fails
+        # the covariance estimate of the second cell (d = 3) fails
         calls.append(1)
         if len(calls) == 2:
             raise DefinitenessError("not positive definite", offending_eigenvalue=0.0)
@@ -872,11 +940,59 @@ def test_hyperbolic_rows_match_per_arm_reference(monkeypatch, chains_per_cell,
     want = _hyperbolic_per_arm(cfg)
     calls.clear()
     got = run_experiment(cfg)
-    assert _strip_wall_time(got) == _strip_wall_time(want)
+    assert len(calls) == 2  # one estimate per cell
+    _assert_rows_alike(got.rows, want.rows)
     assert [(r["d"], r["chain"], r["arm"]) for r in got.rows] == [
         (d, chain, arm) for d in (2, 3) for chain in range(chains_per_cell)
         for arm in ("design", "covariance", "none")
     ]
-    failed = [(r["d"], r["chain"]) for r in got.rows if r["status"] == "failed"]
-    assert failed == [(2, 1) if chains_per_cell == 3 else (3, 0)]
-    assert all(r["arm"] == "covariance" for r in got.rows if r["status"] == "failed")
+    failed = [(r["d"], r["chain"], r["arm"]) for r in got.rows if r["status"] == "failed"]
+    assert failed == [(3, chain, "covariance") for chain in range(chains_per_cell)]
+    assert all(r["wall_time"] == 0.0 for r in got.rows if r["status"] == "failed")
+    assert all(r["status"] == "ok" for r in got.rows if r["status"] != "failed")
+
+
+def _record_run_chains(monkeypatch):
+    """Wrap samplers.run_chains; returns the (configs, traces) of each call."""
+    calls = []
+    run_chains = samplers.run_chains
+
+    def recording(target, configs, x0s):
+        traces = run_chains(target, configs, x0s)
+        calls.append((list(configs), traces))
+        return traces
+
+    monkeypatch.setattr(samplers, "run_chains", recording)
+    return calls
+
+
+@pytest.mark.parametrize("config", [HYPERBOLIC_TINY, BINOMIAL_TINY],
+                         ids=["hyperbolic", "binomial"])
+def test_every_arm_measures_at_its_own_adapted_step(monkeypatch, config):
+    calls = _record_run_chains(monkeypatch)
+    run_experiment(config)
+    assert calls and len(calls) % 2 == 0  # a burn-in batch, then its measurement
+    for (burn_configs, burn), (configs, _) in zip(calls[::2], calls[1::2]):
+        assert all(c.adapt is not None for c in burn_configs)
+        assert all(c.adapt is None for c in configs)
+        assert len(configs) == len(burn)
+        for cfg, burn_cfg, trace in zip(configs, burn_configs, burn):
+            assert cfg.step_size == trace.final_step_size
+            assert cfg.preconditioner is burn_cfg.preconditioner
+
+
+def test_hyperbolic_cell_runs_as_one_batch_per_phase_and_splits_alike(monkeypatch):
+    calls = _record_run_chains(monkeypatch)
+    whole = run_experiment(HYPERBOLIC_TINY).rows
+    # the burn-in and measurement of each of the two cells, all 3 x 3 chains
+    assert [len(configs) for configs, _ in calls] == [9, 9, 9, 9]
+    assert [(r["d"], r["chain"], r["arm"]) for r in whole] == [
+        (d, chain, arm) for d in (2, 3) for chain in range(3)
+        for arm in ("design", "covariance", "none")
+    ]
+    for d in (2, 3):
+        assert len({r["wall_time"] for r in whole if r["d"] == d}) == 1
+    for chains_per_batch in (1, 4):
+        monkeypatch.setattr(experiments, "BATCH_STATE_BYTES",
+                            chains_per_batch * 8 * 200 * 3)
+        _assert_rows_alike(run_experiment(HYPERBOLIC_TINY).rows, whole)
