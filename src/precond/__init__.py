@@ -31,7 +31,7 @@ from .preconditioners import (
     hessian_at_mode_preconditioner,
     identity_preconditioner,
 )
-from .samplers import ChainConfig, Trace, find_mode, mala_chain, rwm_chain
+from .samplers import ChainConfig, Trace, find_mode, run_chains
 from .targets import (
     DifferentiableTarget,
     SmoothnessEnvelope,

@@ -29,6 +29,9 @@ class EssReport:
     per_dimension: np.ndarray
     median: float
     n: int
+    # per dimension: Geyer's pair sums were still positive at the last lag
+    # summed, min(n/2, 10 000), so the ESS may be overstated
+    truncated: np.ndarray
 
     def __post_init__(self):
         if self.per_dimension.size == 0:
@@ -38,11 +41,14 @@ class EssReport:
 def ess_report(states: np.ndarray) -> EssReport:
     """Per-dimension ESS of a (n, d) chain with its median; see :func:`ess`.
 
-    The columns run as one batch, each bit for bit as on its own. Errors are
-    checked column by column (non-finite, too short, zero variance), and the
-    first failing column's error is raised.
+    A 1-d series is read as one column. The columns run as one batch, each
+    bit for bit as on its own. Errors are checked column by column
+    (non-finite, too short, zero variance), and the first failing column's
+    error is raised.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    states = np.asarray(states, dtype=float)
+    if states.ndim == 1:
+        states = states[:, None]
     if states.ndim != 2:
         raise PrecondError("series must be one-dimensional")
     n, d = states.shape
@@ -78,7 +84,8 @@ def ess_report(states: np.ndarray) -> EssReport:
     # cumsum adds in order, as the scalar recipe does; np.sum would not
     tau = np.cumsum(np.where(kept, monotone, 0.0), axis=1)[:, -1]
     per_dim = n / np.maximum(-1.0 + 2.0 * tau, 1e-12)
-    return EssReport(per_dimension=per_dim, median=float(np.median(per_dim)), n=n)
+    return EssReport(per_dimension=per_dim, median=float(np.median(per_dim)), n=n,
+                     truncated=kept[:, -1])
 
 
 def acceptance_rate(trace: Trace) -> float:

@@ -58,7 +58,6 @@ class ExperimentConfig:
     measure: int = 2_000
     master_seed: int = 1234
     output_dir: str = "."
-    schema_version: int = SCHEMA_VERSION
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -269,7 +268,7 @@ def _run_slots(
                 samplers.ChainConfig(
                     kind=kind, step_size=step, preconditioner=s.precond,
                     n_steps=burn_in, seed=derive_seed(s.seed, 0),
-                    adapt=samplers.AdaptConfig(target_rate=rate),
+                    adapt_rate=rate,
                 )
                 for s in picked
             ], starts)
@@ -292,11 +291,11 @@ def _run_slots(
 
 def _estimate_chain(target, kind: str, step: float, precond, n_steps: int, seed: int,
                     rate: float, x0: np.ndarray) -> samplers.Trace:
-    """One adaptive chain whose states estimate a preconditioner, on the
-    scalar kernel, which is faster than lock-step at K = 1."""
-    return samplers.run_chain(target, samplers.ChainConfig(
+    """One adaptive chain whose states estimate a preconditioner; run alone,
+    it takes run_chains' scalar kernel."""
+    return samplers.run_chains(target, [samplers.ChainConfig(
         kind=kind, step_size=step, preconditioner=precond, n_steps=n_steps, seed=seed,
-        adapt=samplers.AdaptConfig(target_rate=rate)), x0)
+        adapt_rate=rate)], x0[None])[0]
 
 
 def _covariance_or_none(states: np.ndarray, label: str):

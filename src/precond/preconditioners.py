@@ -138,20 +138,10 @@ def hessian_at_mode_preconditioner(
     return Preconditioner(l=linalg.sym_sqrt(h), label=label)
 
 
-def design_preconditioner(
-    x_mat: np.ndarray, scaled: bool = True, label: str = "design"
-) -> Preconditioner:
-    """L = (n^{-1} X^T X)^{1/2}, or the unscaled (X^T X)^{1/2} variant.
-
-    The overall scale of L does not change the post-preconditioning condition
-    number, so the two variants are interchangeable for conditioning purposes.
-    """
+def design_preconditioner(x_mat: np.ndarray, label: str = "design") -> Preconditioner:
+    """L = (n^{-1} X^T X)^{1/2}."""
     x_mat = np.asarray(x_mat, dtype=float)
-    n = x_mat.shape[0]
-    xtx = x_mat.T @ x_mat
-    if scaled:
-        xtx = xtx / n
-    return Preconditioner(l=linalg.sym_sqrt(xtx), label=label)
+    return Preconditioner(l=linalg.sym_sqrt(x_mat.T @ x_mat / x_mat.shape[0]), label=label)
 
 
 def additive_base_preconditioner(

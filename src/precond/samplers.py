@@ -6,7 +6,8 @@ x' = x - sigma^2/2 (LL^T)^{-1} grad U(x) + sigma L^{-1} xi; RWM is the
 zero-drift case. This is step-for-step identical to running the plain
 algorithm on the pushforward target y = Lx and mapping states back through
 L^{-1}, provided both consume the same RNG stream.
-``run_chains`` advances many chains in lock-step by the same rule.
+``run_chains`` is the one way to run chains: one chain runs the scalar
+kernel, and K > 1 chains advance in lock-step by the same rule.
 """
 
 from __future__ import annotations
@@ -22,16 +23,8 @@ from .preconditioners import Preconditioner
 from .targets import DifferentiableTarget
 
 
-@dataclass(frozen=True)
-class AdaptConfig:
-    target_rate: float
-    decay_exponent: float = 0.6
-
-    def __post_init__(self):
-        if not 0.0 < self.target_rate < 1.0:
-            raise PrecondError(f"target rate must lie in (0,1), got {self.target_rate}")
-        if not 0.5 < self.decay_exponent <= 1.0:
-            raise PrecondError("decay exponent must lie in (0.5, 1]")
+# Robbins-Monro gains (t + 1)^-ADAPT_DECAY of the step-size adaptation.
+ADAPT_DECAY = 0.6
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class ChainConfig:
     preconditioner: Preconditioner
     n_steps: int
     seed: int
-    adapt: Optional[AdaptConfig] = None
+    adapt_rate: Optional[float] = None  # acceptance the step adapts toward
 
     def __post_init__(self):
         if self.kind not in ("RWM", "MALA"):
@@ -50,23 +43,23 @@ class ChainConfig:
             raise PrecondError(f"step size must be positive, got {self.step_size}")
         if self.n_steps < 1:
             raise PrecondError("n_steps must be at least 1")
+        if self.adapt_rate is not None and not 0.0 < self.adapt_rate < 1.0:
+            raise PrecondError(f"adapt rate must lie in (0, 1), got {self.adapt_rate}")
 
 
 @dataclass(frozen=True)
 class Trace:
-    """States after each step with acceptance indicators and potentials."""
+    """States after each step with acceptance indicators."""
 
-    states: np.ndarray          # (n_steps, d)
-    accepted: np.ndarray        # (n_steps,) bool
-    log_potentials: np.ndarray  # (n_steps,) values of U at each state
+    states: np.ndarray    # (n_steps, d)
+    accepted: np.ndarray  # (n_steps,) bool
     config: ChainConfig
     x0: np.ndarray
     final_step_size: float
     n_warnings: int = 0
 
     def __post_init__(self):
-        n = self.states.shape[0]
-        if self.accepted.shape[0] != n or self.log_potentials.shape[0] != n:
+        if self.accepted.shape[0] != self.states.shape[0]:
             raise PrecondError("trace arrays must have equal length")
 
 
@@ -86,12 +79,10 @@ def _accept_prob(log_ratio: np.ndarray, finite: np.ndarray) -> np.ndarray:
     return np.where(finite, np.exp(np.minimum(log_ratio, 0.0)), 0.0)
 
 
-def adapt_step_size(
-    step_size: float, t: int, accept_estimate: float, adapt: AdaptConfig
-) -> float:
-    """Stochastic-approximation update log sigma += t^{-decay}(acc - target)."""
-    gain = (t + 1) ** (-adapt.decay_exponent)
-    return float(step_size * math.exp(gain * (accept_estimate - adapt.target_rate)))
+def adapt_step_size(step: float, t: int, alpha: float, rate: float) -> float:
+    """Stochastic-approximation update log sigma += (t + 1)^{-ADAPT_DECAY}(alpha - rate)."""
+    gain = (t + 1) ** (-ADAPT_DECAY)
+    return float(step * math.exp(gain * (alpha - rate)))
 
 
 def _init_state(target: DifferentiableTarget, x0: Optional[np.ndarray]) -> np.ndarray:
@@ -116,9 +107,7 @@ def _draws(config: ChainConfig, linv: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return noise, rng.random(config.n_steps)
 
 
-def _mh_chain(
-    target: DifferentiableTarget, config: ChainConfig, x0: Optional[np.ndarray]
-) -> Trace:
+def _mh_chain(target: DifferentiableTarget, config: ChainConfig, x0: np.ndarray) -> Trace:
     """The scalar Metropolis-Hastings kernel, in the target's coordinates x.
 
     Proposal x' = x - sigma^2/2 (LL^T)^{-1} grad U(x) + sigma L^{-1} xi; RWM
@@ -126,7 +115,7 @@ def _mh_chain(
     pushforward chain, written through L^{-1} xi, the gradients g and their
     images (LL^T)^{-1} g, costs one mat-vec per step.
     """
-    x = _init_state(target, x0)
+    x = x0
     mala = config.kind == "MALA"
     linv = config.preconditioner.inv
     potential, gradient = target.potential, target.gradient
@@ -143,14 +132,13 @@ def _mh_chain(
     noise, unif = _draws(config, linv)
     states = np.empty((n, d))
     accepted = np.empty(n, dtype=bool)
-    log_pots = np.empty(n)
     sigma = config.step_size
-    adapt = config.adapt
-    if adapt is None:
+    rate = config.adapt_rate
+    if rate is None:
         noise *= sigma  # the same products as sigma * noise[t] step by step
     warnings = 0
     for t in range(n):
-        step = noise[t] if adapt is None else sigma * noise[t]
+        step = noise[t] if rate is None else sigma * noise[t]
         if mala:
             s2 = sigma * sigma
             prop = x + step - 0.5 * s2 * drift0
@@ -179,18 +167,10 @@ def _mh_chain(
                 g0, drift0 = g_prop, drift_prop
         states[t] = x
         accepted[t] = ok
-        log_pots[t] = u0
-        if adapt is not None:
-            sigma = adapt_step_size(sigma, t, alpha, adapt)
-    return Trace(
-        states=states,
-        accepted=accepted,
-        log_potentials=log_pots,
-        config=config,
-        x0=_init_state(target, x0),
-        final_step_size=sigma,
-        n_warnings=warnings,
-    )
+        if rate is not None:
+            sigma = adapt_step_size(sigma, t, alpha, rate)
+    return Trace(states=states, accepted=accepted, config=config, x0=x0.copy(),
+                 final_step_size=sigma, n_warnings=warnings)
 
 
 def _mh_lockstep(
@@ -227,16 +207,14 @@ def _mh_lockstep(
             f"{int(np.argmin(finite))}"
         )
     accepted = np.empty((k_chains, n), dtype=bool)
-    log_pots = np.empty((k_chains, n))
     finite_steps = np.empty((n, k_chains), dtype=bool)
     sigma = np.array([c.step_size for c in configs])[:, None]
-    adapting = [c.adapt is not None for c in configs]
-    adapt_any = any(adapting)
+    adapting = np.array([c.adapt_rate is not None for c in configs])
+    adapt_any = bool(adapting.any())
     if adapt_any:
-        decay = np.array([c.adapt.decay_exponent if c.adapt else 1.0 for c in configs])
-        rate = np.array([c.adapt.target_rate if c.adapt else 0.0 for c in configs])
-        # gains[t, k] = (t + 1)^(-decay_k), zero for chains that do not adapt
-        gains = np.arange(1.0, n + 1.0)[:, None] ** -decay * np.array(adapting)
+        rate = np.array([c.adapt_rate or 0.0 for c in configs])
+        # gains[t, k] = (t + 1)^-ADAPT_DECAY, zero for chains that do not adapt
+        gains = (np.arange(1.0, n + 1.0) ** -ADAPT_DECAY)[:, None] * adapting
     else:
         states *= sigma[:, :, None]
     for t in range(n):
@@ -263,7 +241,6 @@ def _mh_lockstep(
             np.copyto(drift0, drift_prop, where=moved)
         states[:, t] = x
         accepted[:, t] = ok
-        log_pots[:, t] = u0
         if adapt_any:
             alpha = _accept_prob(log_ratio, finite_steps[t])
             sigma = sigma * np.exp(gains[t] * (alpha - rate))[:, None]
@@ -271,7 +248,6 @@ def _mh_lockstep(
         Trace(
             states=states[k],
             accepted=accepted[k],
-            log_potentials=log_pots[k],
             config=cfg,
             x0=x0s[k].copy(),
             final_step_size=float(sigma[k, 0]),
@@ -281,52 +257,17 @@ def _mh_lockstep(
     ]
 
 
-def rwm_chain(
-    target: DifferentiableTarget,
-    config: ChainConfig,
-    x0: Optional[np.ndarray] = None,
-) -> Trace:
-    """Random walk Metropolis with proposal x' = x + sigma L^{-1} xi."""
-    if config.kind != "RWM":
-        raise PrecondError("config.kind must be RWM")
-    return _mh_chain(target, config, x0)
-
-
-def mala_chain(
-    target: DifferentiableTarget,
-    config: ChainConfig,
-    x0: Optional[np.ndarray] = None,
-) -> Trace:
-    """Metropolis-adjusted Langevin: drift sigma^2 grad/2, variance sigma^2.
-
-    The dynamics are those of plain MALA on the pushforward y = Lx, run in
-    the original coordinates.
-    """
-    if config.kind != "MALA":
-        raise PrecondError("config.kind must be MALA")
-    return _mh_chain(target, config, x0)
-
-
-def run_chain(
-    target: DifferentiableTarget,
-    config: ChainConfig,
-    x0: Optional[np.ndarray] = None,
-) -> Trace:
-    if config.kind == "RWM":
-        return rwm_chain(target, config, x0)
-    return mala_chain(target, config, x0)
-
-
 def run_chains(
     target: DifferentiableTarget, configs: list, x0s: np.ndarray
 ) -> list:
-    """Run K chains of one kind and length; returns their traces in order.
+    """Run K chains of one kind and length from the K initial states ``x0s``;
+    returns their traces in order.
 
-    Each chain draws from its own ``SeedSequence(seed)`` stream in the order
-    :func:`run_chain` does and has its own preconditioner, step size and
-    adaptation. One chain runs the scalar kernel; K > 1 chains run in
-    lock-step, which needs the target's potential and gradient to accept a
-    (K, d) array of states; ``x0s`` holds the K initial states.
+    Each chain draws its normals, then its uniforms, from its own
+    ``SeedSequence(seed)`` stream, and has its own preconditioner, step size
+    and adaptation. One chain runs the scalar kernel, which is faster than
+    lock-step at K = 1; K > 1 chains run in lock-step, which needs the
+    target's potential and gradient to accept a (K, d) array of states.
     """
     configs = list(configs)
     if not configs:
@@ -340,7 +281,7 @@ def run_chains(
             f"initial states have shape {x0s.shape}, expected ({k_chains}, {d})"
         )
     if k_chains == 1:
-        return [run_chain(target, configs[0], x0s[0])]
+        return [_mh_chain(target, configs[0], x0s[0])]
     return _mh_lockstep(target, configs, x0s)
 
 

@@ -100,7 +100,7 @@ def rwm_chain_pushforward_view(
 ) -> Trace:
     """Plain RWM on the pushforward target, states mapped back through L^{-1}.
 
-    Consumes the RNG stream in the same order as ``samplers.rwm_chain``, so
+    Consumes the RNG stream in the same order as ``samplers.run_chains``, so
     the two must agree step for step, with or without adaptation.
     """
     if config.kind != "RWM":
@@ -119,7 +119,6 @@ def rwm_chain_pushforward_view(
     linv = precond.inv
     states = np.empty((n, d))
     accepted = np.empty(n, dtype=bool)
-    log_pots = np.empty(n)
     sigma = config.step_size
     warnings = 0
     for t in range(n):
@@ -137,13 +136,11 @@ def rwm_chain_pushforward_view(
             y, u0 = prop, u_prop
         states[t] = linv @ y
         accepted[t] = ok
-        log_pots[t] = u0
-        if config.adapt is not None:
-            sigma = adapt_step_size(sigma, t, alpha, config.adapt)
+        if config.adapt_rate is not None:
+            sigma = adapt_step_size(sigma, t, alpha, config.adapt_rate)
     return Trace(
         states=states,
         accepted=accepted,
-        log_potentials=log_pots,
         config=config,
         x0=x,
         final_step_size=sigma,
@@ -305,7 +302,7 @@ def default_probes(
         n_steps=max(8 * n_chain, 512),
         seed=seed,
     )
-    trace = samplers.rwm_chain(target, cfg, x0=x_star)
+    (trace,) = samplers.run_chains(target, [cfg], x_star[None])
     states = trace.states
     idx = np.linspace(states.shape[0] // 2, states.shape[0] - 1, n_chain).astype(int)
     return np.vstack([states[idx], local])

@@ -270,7 +270,7 @@ def test_criterion_07_gap_sandwich_surrogate():
             n_steps=1_000_000,
             seed=707,
         )
-        trace = samplers.rwm_chain(target, cfg)
+        (trace,) = samplers.run_chains(target, [cfg], np.zeros((1, d)))
         v_max = np.zeros(d)
         v_max[-1] = 1.0  # axis of largest variance 1/m
         est, se = paper_results.empirical_gap_upper(trace, v_max)
@@ -338,7 +338,7 @@ def test_criterion_09_covariance_localisation():
             seed=seed,
         )
         x_star = samplers.find_mode(target, precond, tol=1e-8)
-        trace = samplers.rwm_chain(target, cfg, x0=x_star)
+        (trace,) = samplers.run_chains(target, [cfg], x_star[None])
         states = trace.states[100_000:]
         mu_hat = states.mean(axis=0)
         sigma_hat = preconditioners.sample_covariance(states)

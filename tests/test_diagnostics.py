@@ -11,6 +11,7 @@ from precond.errors import PrecondError, ZeroVarianceError
 from precond.samplers import ChainConfig
 
 import paper_results
+from test_fixtures import one_chain
 
 
 def _ar1(rho, n, seed=0, scale=1.0):
@@ -73,7 +74,7 @@ def test_acceptance_rate():
         preconditioner=preconditioners.identity_preconditioner(1),
         n_steps=200, seed=9,
     )
-    trace = samplers.rwm_chain(t, cfg)
+    trace = one_chain(t, cfg)
     assert diagnostics.acceptance_rate(trace) > 0.99
 
 
@@ -85,12 +86,11 @@ def test_empirical_gap_iid_near_one():
         preconditioner=preconditioners.identity_preconditioner(2),
         n_steps=20000, seed=10,
     )
-    trace = samplers.rwm_chain(t, cfg)
+    trace = one_chain(t, cfg)
     # replace states by iid draws to model the independence-sampler limit
     iid_trace = samplers.Trace(
         states=rng.standard_normal((20000, 2)),
         accepted=trace.accepted,
-        log_potentials=trace.log_potentials,
         config=cfg,
         x0=trace.x0,
         final_step_size=trace.final_step_size,
@@ -107,7 +107,7 @@ def test_empirical_gap_sticky_chain_near_zero():
         preconditioner=preconditioners.identity_preconditioner(1),
         n_steps=20000, seed=11,
     )
-    trace = samplers.rwm_chain(t, cfg, x0=np.array([1.0]))
+    trace = one_chain(t, cfg, x0=np.array([1.0]))
     est, _ = paper_results.empirical_gap_upper(trace, np.array([1.0]))
     assert est < 0.01
 
@@ -125,7 +125,7 @@ def test_empirical_gap_respects_theorem_ceiling():
         preconditioner=preconditioners.identity_preconditioner(2),
         n_steps=400000, seed=12,
     )
-    trace = samplers.rwm_chain(t, cfg)
+    trace = one_chain(t, cfg)
     est, se = paper_results.empirical_gap_upper(trace, np.array([1.0, 0.0]))
     assert est <= xi / (2 * kappa * d) + 4 * se
 
@@ -137,7 +137,7 @@ def test_empirical_gap_validation():
         preconditioner=preconditioners.identity_preconditioner(1),
         n_steps=200, seed=13,
     )
-    trace = samplers.rwm_chain(t, cfg)
+    trace = one_chain(t, cfg)
     with pytest.raises(PrecondError):
         paper_results.empirical_gap_upper(trace, np.zeros(1))
     with pytest.raises(PrecondError):
@@ -208,6 +208,21 @@ def test_ess_rejects_non_series():
         diagnostics.ess(np.zeros((200, 2)))
     with pytest.raises(PrecondError, match="empty"):
         diagnostics.ess_report(np.zeros((200, 0)))
+
+
+def test_ess_report_reads_a_series_as_one_column():
+    with pytest.raises(ZeroVarianceError, match="zero variance"):
+        diagnostics.ess_report(np.full(1000, 0.1))
+    series = _ar1(0.6, 2000, seed=15)
+    assert diagnostics.ess_report(series).per_dimension.tolist() == [diagnostics.ess(series)]
+
+
+def test_ess_report_flags_pair_sums_still_positive_at_the_lag_cap():
+    # an AR(1) with rho = 0.9999 stays correlated past the 10 000 lags summed
+    slow = diagnostics.ess_report(_ar1(0.9999, 100_000, seed=0))
+    assert slow.truncated.tolist() == [True]
+    iid = diagnostics.ess_report(np.random.default_rng(17).standard_normal((1000, 2)))
+    assert iid.truncated.tolist() == [False, False]
 
 
 def test_ess_report_of_an_empty_chain_raises_without_a_warning():

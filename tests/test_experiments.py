@@ -192,7 +192,8 @@ def test_verify_bounds_runs_no_mode_search_or_probe_chain(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify-bounds reads its constants in closed form")
 
-    monkeypatch.setattr(samplers, "rwm_chain", refuse)
+    monkeypatch.setattr(samplers, "_mh_chain", refuse)
+    monkeypatch.setattr(samplers, "_mh_lockstep", refuse)
     monkeypatch.setattr(samplers, "find_mode", refuse)
     cfg = ExperimentConfig(experiment="verify-bounds", master_seed=11,
                            extra={"n_instances": 3, "n_preconditioners": 2})
@@ -704,9 +705,8 @@ def _trace(states):
     n, d = states.shape
     cfg = samplers.ChainConfig(kind="RWM", step_size=1.0, n_steps=n, seed=0,
                                preconditioner=preconditioners.identity_preconditioner(d))
-    return samplers.Trace(states=states, accepted=np.zeros(n, dtype=bool),
-                          log_potentials=np.zeros(n), config=cfg, x0=states[0],
-                          final_step_size=1.0)
+    return samplers.Trace(states=states, accepted=np.zeros(n, dtype=bool), config=cfg,
+                          x0=states[0], final_step_size=1.0)
 
 
 def test_measure_row_marks_only_zero_variance_stuck():
@@ -740,7 +740,8 @@ def test_analyze_runs_no_mode_search_probe_chain_or_hessian(monkeypatch):
         raise AssertionError("analyze reads its constants in closed form")
 
     monkeypatch.setattr(samplers, "find_mode", refuse)
-    monkeypatch.setattr(samplers, "rwm_chain", refuse)
+    monkeypatch.setattr(samplers, "_mh_chain", refuse)
+    monkeypatch.setattr(samplers, "_mh_lockstep", refuse)
     x_mat, y, lam = targets.synth_regression_data(4, 20, 5)
     hyperbolic = (targets.hyperbolic_regression_target(x_mat, y, 1.0, lam),
                   preconditioners.additive_base_preconditioner(x_mat.T @ x_mat))
@@ -855,10 +856,10 @@ def _hyperbolic_per_arm(config):
             beta_ls = np.linalg.solve(a_mat, x_mat.T @ y)
             identity = preconditioners.identity_preconditioner(d, label="none")
             step0 = d ** (-1.0 / 6.0)
-            estimate = samplers.mala_chain(target, samplers.ChainConfig(
+            (estimate,) = samplers.run_chains(target, [samplers.ChainConfig(
                 kind="MALA", step_size=step0, preconditioner=identity,
                 n_steps=config.burn_in, seed=derive_seed(config.master_seed, 1, di, mi, 3),
-                adapt=samplers.AdaptConfig(target_rate=0.574)), beta_ls)
+                adapt_rate=0.574)], beta_ls[None])
             try:
                 covariance = preconditioners.dense_covariance_preconditioner(
                     preconditioners.sample_covariance(estimate.states), label="covariance")
@@ -883,7 +884,7 @@ def _hyperbolic_per_arm(config):
                         samplers.ChainConfig(
                             kind="MALA", step_size=step0, preconditioner=precond,
                             n_steps=config.burn_in, seed=derive_seed(seeds[chain], 0),
-                            adapt=samplers.AdaptConfig(target_rate=0.574))
+                            adapt_rate=0.574)
                         for chain in batch
                     ], np.tile(beta_ls, (len(batch), 1)))
                     traces = samplers.run_chains(target, [
@@ -953,16 +954,28 @@ def test_hyperbolic_rows_match_per_arm_reference(monkeypatch, chains_per_cell,
 
 
 def _record_run_chains(monkeypatch):
-    """Wrap samplers.run_chains; returns the (configs, traces) of each call."""
+    """Wrap samplers.run_chains; returns the (configs, traces) of each call
+    that runs arms, leaving out the calls of experiments._estimate_chain."""
     calls = []
+    estimating = []
     run_chains = samplers.run_chains
+    estimate_chain = experiments._estimate_chain
 
     def recording(target, configs, x0s):
         traces = run_chains(target, configs, x0s)
-        calls.append((list(configs), traces))
+        if not estimating:
+            calls.append((list(configs), traces))
         return traces
 
+    def estimating_chain(*args):
+        estimating.append(True)
+        try:
+            return estimate_chain(*args)
+        finally:
+            estimating.pop()
+
     monkeypatch.setattr(samplers, "run_chains", recording)
+    monkeypatch.setattr(experiments, "_estimate_chain", estimating_chain)
     return calls
 
 
@@ -973,8 +986,8 @@ def test_every_arm_measures_at_its_own_adapted_step(monkeypatch, config):
     run_experiment(config)
     assert calls and len(calls) % 2 == 0  # a burn-in batch, then its measurement
     for (burn_configs, burn), (configs, _) in zip(calls[::2], calls[1::2]):
-        assert all(c.adapt is not None for c in burn_configs)
-        assert all(c.adapt is None for c in configs)
+        assert all(c.adapt_rate is not None for c in burn_configs)
+        assert all(c.adapt_rate is None for c in configs)
         assert len(configs) == len(burn)
         for cfg, burn_cfg, trace in zip(configs, burn_configs, burn):
             assert cfg.step_size == trace.final_step_size

@@ -89,15 +89,6 @@ def test_mode_hessian_whitens_gaussian():
     assert kappa_after(t, p) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_design_preconditioner_scaling_irrelevant():
-    x_mat, y, w = targets.synth_binomial_data(3, 12, 1.0, 3)
-    t = targets.binomial_gprior_target(x_mat, y, w, 0.01 / 12)
-    a = preconditioners.design_preconditioner(x_mat, scaled=True)
-    b = preconditioners.design_preconditioner(x_mat, scaled=False)
-    assert np.allclose(a.l * np.sqrt(12), b.l)
-    assert kappa_after(t, a) == pytest.approx(kappa_after(t, b), rel=1e-9)
-
-
 def test_additive_base_preconditioner_formula():
     x_mat, y, lam = targets.synth_regression_data(3, 15, 4)
     a = x_mat.T @ x_mat

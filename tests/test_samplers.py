@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from precond import preconditioners, samplers, targets
 from precond.errors import ModeSearchError, NonFiniteInputError, PrecondError
-from precond.samplers import AdaptConfig, ChainConfig
+from precond.samplers import ChainConfig
 
 import oracles
-from test_fixtures import SIGMA_PI_FIXTURE, random_spd
+from test_fixtures import SIGMA_PI_FIXTURE, one_chain, random_spd
 
 
-def _rwm_config(d, sigma, n, seed=0, adapt=None, precond=None):
+def _rwm_config(d, sigma, n, seed=0, adapt_rate=None, precond=None):
     if precond is None:
         precond = preconditioners.identity_preconditioner(d)
     return ChainConfig(
         kind="RWM", step_size=sigma, preconditioner=precond, n_steps=n, seed=seed,
-        adapt=adapt,
+        adapt_rate=adapt_rate,
     )
 
 
@@ -43,7 +43,7 @@ def test_mh_acceptance_matches_quadrature_1d():
         * min(1.0, math.exp(0.5 * x * x - 0.5 * (x + sigma * z) ** 2)),
         -8, 8, -8, 8,
     )
-    trace = samplers.rwm_chain(t, _rwm_config(1, sigma, 60000, seed=3))
+    trace = one_chain(t, _rwm_config(1, sigma, 60000, seed=3))
     emp = trace.accepted.mean()
     assert emp == pytest.approx(expect, abs=0.02)
 
@@ -51,11 +51,10 @@ def test_mh_acceptance_matches_quadrature_1d():
 def test_chain_determinism_bit_identical():
     t = targets.gaussian_target(np.zeros(3), random_spd(np.random.default_rng(0), 3))
     cfg = _rwm_config(3, 1.0, 500, seed=42)
-    a = samplers.rwm_chain(t, cfg)
-    b = samplers.rwm_chain(t, cfg)
+    a = one_chain(t, cfg)
+    b = one_chain(t, cfg)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.accepted, b.accepted)
-    assert np.array_equal(a.log_potentials, b.log_potentials)
 
 
 def test_pushforward_view_is_step_identical():
@@ -64,7 +63,7 @@ def test_pushforward_view_is_step_identical():
     t = targets.gaussian_target(np.zeros(3), sigma)
     p = preconditioners.from_matrix(random_spd(rng, 3))
     cfg = _rwm_config(3, 0.8, 400, seed=7, precond=p)
-    a = samplers.rwm_chain(t, cfg)
+    a = one_chain(t, cfg)
     b = oracles.rwm_chain_pushforward_view(t, cfg)
     assert np.array_equal(a.accepted, b.accepted)
     assert np.abs(a.states - b.states).max() <= 1e-10
@@ -77,8 +76,8 @@ def test_adaptive_pushforward_view_is_step_identical():
     design = preconditioners.design_preconditioner(x_mat)
     x0 = samplers.find_mode(t, design)
     cfg = _rwm_config(4, 2.38 / math.sqrt(4), 2000, seed=11,
-                      adapt=AdaptConfig(0.234), precond=design)
-    a = samplers.rwm_chain(t, cfg, x0=x0)
+                      adapt_rate=0.234, precond=design)
+    a = one_chain(t, cfg, x0=x0)
     b = oracles.rwm_chain_pushforward_view(t, cfg, x0=x0)
     assert 0.1 < a.accepted.mean() < 0.5
     assert np.array_equal(a.accepted, b.accepted)
@@ -93,10 +92,10 @@ def test_sigma_scaling_equivalence():
     t = targets.gaussian_target(np.zeros(2), sigma_mat)
     l = random_spd(rng, 2)
     c = 3.7
-    a = samplers.rwm_chain(
+    a = one_chain(
         t, _rwm_config(2, 0.5, 300, seed=9, precond=preconditioners.from_matrix(l))
     )
-    b = samplers.rwm_chain(
+    b = one_chain(
         t, _rwm_config(2, 0.5 * c, 300, seed=9, precond=preconditioners.from_matrix(c * l))
     )
     assert np.array_equal(a.accepted, b.accepted)
@@ -105,14 +104,14 @@ def test_sigma_scaling_equivalence():
 
 def test_rwm_small_sigma_accepts_everything():
     t = targets.gaussian_target(np.zeros(1), np.eye(1))
-    trace = samplers.rwm_chain(t, _rwm_config(1, 1e-8, 200, seed=4))
+    trace = one_chain(t, _rwm_config(1, 1e-8, 200, seed=4))
     assert trace.accepted.mean() > 0.999
 
 
 def test_rwm_invariance_mean_within_4_se():
     t = targets.gaussian_target(np.zeros(1), np.eye(1))
     n = 10**6
-    trace = samplers.rwm_chain(t, _rwm_config(1, 2.38, n, seed=5))
+    trace = one_chain(t, _rwm_config(1, 2.38, n, seed=5))
     x = trace.states[:, 0]
     # effective-sample-size-aware standard error
     from precond.diagnostics import ess
@@ -126,7 +125,7 @@ def test_two_bin_detailed_balance():
     from scipy.stats import norm
 
     t = targets.gaussian_target(np.zeros(1), np.eye(1))
-    trace = samplers.rwm_chain(t, _rwm_config(1, 2.38, 200000, seed=6))
+    trace = one_chain(t, _rwm_config(1, 2.38, 200000, seed=6))
     x = trace.states[:, 0]
     frac = (x <= 0.3).mean()
     from precond.diagnostics import ess
@@ -145,9 +144,9 @@ def test_rwm_rejects_nonfinite_start():
         hessian=t.hessian,
     )
     with pytest.raises(NonFiniteInputError):
-        samplers.rwm_chain(bad, _rwm_config(2, 1.0, 10))
+        one_chain(bad, _rwm_config(2, 1.0, 10))
     with pytest.raises(NonFiniteInputError):
-        samplers.mala_chain(
+        one_chain(
             bad,
             ChainConfig(
                 kind="MALA",
@@ -159,24 +158,24 @@ def test_rwm_rejects_nonfinite_start():
         )
 
 
-def test_adapt_config_validation():
-    with pytest.raises(PrecondError):
-        AdaptConfig(target_rate=0.0)
-    with pytest.raises(PrecondError):
-        AdaptConfig(target_rate=0.3, decay_exponent=0.4)
+def test_adapt_rate_validation():
+    p = preconditioners.identity_preconditioner(2)
+    for rate in (0.0, 1.0, -0.5):
+        with pytest.raises(PrecondError, match="adapt rate"):
+            ChainConfig(kind="RWM", step_size=1.0, preconditioner=p, n_steps=10, seed=0,
+                        adapt_rate=rate)
 
 
 def test_adapt_step_size_fixed_point():
-    cfg = AdaptConfig(target_rate=0.3)
-    assert samplers.adapt_step_size(0.7, 10, 0.3, cfg) == pytest.approx(0.7)
-    assert samplers.adapt_step_size(0.7, 10, 0.8, cfg) > 0.7
-    assert samplers.adapt_step_size(0.7, 10, 0.1, cfg) < 0.7
+    assert samplers.adapt_step_size(0.7, 10, 0.3, 0.3) == pytest.approx(0.7)
+    assert samplers.adapt_step_size(0.7, 10, 0.8, 0.3) > 0.7
+    assert samplers.adapt_step_size(0.7, 10, 0.1, 0.3) < 0.7
 
 
 def test_rwm_adaptation_reaches_target():
     t = targets.gaussian_target(np.zeros(5), np.eye(5))
-    cfg = _rwm_config(5, 0.1, 10000, seed=8, adapt=AdaptConfig(target_rate=0.234))
-    trace = samplers.rwm_chain(t, cfg)
+    cfg = _rwm_config(5, 0.1, 10000, seed=8, adapt_rate=0.234)
+    trace = one_chain(t, cfg)
     assert trace.accepted[5000:].mean() == pytest.approx(0.234, abs=0.05)
 
 
@@ -186,9 +185,9 @@ def test_mala_adaptation_reaches_target():
     p = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
     cfg = ChainConfig(
         kind="MALA", step_size=0.5, preconditioner=p, n_steps=10000, seed=8,
-        adapt=AdaptConfig(target_rate=0.574),
+        adapt_rate=0.574,
     )
-    trace = samplers.mala_chain(t, cfg, x0=samplers.find_mode(t, p))
+    trace = one_chain(t, cfg, x0=samplers.find_mode(t, p))
     assert trace.accepted[5000:].mean() == pytest.approx(0.574, abs=0.05)
 
 
@@ -206,7 +205,7 @@ def test_mala_proposal_mean_standard_gaussian():
         preconditioner=preconditioners.identity_preconditioner(1),
         n_steps=1, seed=seed,
     )
-    trace = samplers.mala_chain(t, cfg, x0=x0)
+    trace = one_chain(t, cfg, x0=x0)
     if trace.accepted[0]:
         assert trace.states[0, 0] == pytest.approx(expect, abs=1e-12)
     else:
@@ -220,7 +219,7 @@ def test_mala_small_sigma_accepts():
         preconditioner=preconditioners.identity_preconditioner(2),
         n_steps=200, seed=12,
     )
-    assert samplers.mala_chain(t, cfg).accepted.mean() > 0.999
+    assert one_chain(t, cfg).accepted.mean() > 0.999
 
 
 def test_mala_matches_rwm_geometry_fixture():
@@ -236,7 +235,7 @@ def test_mala_matches_rwm_geometry_fixture():
         cfg = ChainConfig(
             kind="RWM", step_size=sigma, preconditioner=p, n_steps=20000, seed=13
         )
-        trace = samplers.rwm_chain(t, cfg)
+        trace = one_chain(t, cfg)
         results[label] = ess_report(trace.states[2000:]).median
     assert results["dense"] > results["diag"]
 
@@ -268,7 +267,7 @@ def test_find_mode_hyperbolic_small_lambda_is_least_squares():
 def test_find_mode_binomial_gradient_certificate():
     x_mat, y, w = targets.synth_binomial_data(4, 20, 5.0, 16)
     t = targets.binomial_gprior_target(x_mat, y, w, 0.01 / 20)
-    p = preconditioners.design_preconditioner(x_mat, scaled=True)
+    p = preconditioners.design_preconditioner(x_mat)
     x_star = samplers.find_mode(t, p, tol=1e-8)
     gnorm = float(np.linalg.norm(t.gradient(x_star)))
     g0 = float(np.linalg.norm(t.gradient(np.zeros(4))))
@@ -284,16 +283,21 @@ def test_find_mode_iteration_cap():
         samplers.find_mode(t, tol=0.0, max_iter=2, x0=np.ones(3))
 
 
-def test_run_chain_dispatch():
+def test_run_chain_dispatch(monkeypatch):
+    # one chain of either kind runs the scalar kernel, not lock-step
+    def refuse(*args):
+        raise AssertionError("one chain runs the scalar kernel")
+
+    monkeypatch.setattr(samplers, "_mh_lockstep", refuse)
     t = targets.gaussian_target(np.zeros(1), np.eye(1))
-    r = samplers.run_chain(t, _rwm_config(1, 1.0, 10, seed=18))
+    r = one_chain(t, _rwm_config(1, 1.0, 10, seed=18))
     assert r.states.shape == (10, 1)
     cfg = ChainConfig(
         kind="MALA", step_size=0.5,
         preconditioner=preconditioners.identity_preconditioner(1),
         n_steps=10, seed=18,
     )
-    m = samplers.run_chain(t, cfg)
+    m = one_chain(t, cfg)
     assert m.states.shape == (10, 1)
 
 
@@ -309,7 +313,7 @@ def test_chain_config_validation():
 
 def test_rejected_steps_keep_state():
     t = targets.cosine_hard_target(1.0, 4.0)
-    trace = samplers.rwm_chain(
+    trace = one_chain(
         t, _rwm_config(2, 5.0, 500, seed=19)
     )
     same = np.all(trace.states[1:] == trace.states[:-1], axis=1)
@@ -361,7 +365,7 @@ def test_mala_matches_pushforward_reference():
     x0 = samplers.find_mode(t, design)
     cfg = ChainConfig(kind="MALA", step_size=0.8, preconditioner=design,
                       n_steps=600, seed=31)
-    trace = samplers.mala_chain(t, cfg, x0=x0)
+    trace = one_chain(t, cfg, x0=x0)
     states, accepted = _mala_pushforward_reference(t, cfg, x0)
     assert 0.2 < accepted.mean() < 0.98
     assert np.array_equal(trace.accepted, accepted)
@@ -387,9 +391,7 @@ def _mixed_batch(t, design, kind, adapt, n=500):
         ChainConfig(
             kind=kind, step_size=steps[k % 3] * (1.0 + 0.1 * k), preconditioner=precs[k % 3],
             n_steps=n, seed=40 + k,
-            adapt=AdaptConfig(target_rate=0.574 if kind == "MALA" else 0.234,
-                              decay_exponent=0.6 + 0.1 * (k % 2))
-            if adapt and k != 3 else None,
+            adapt_rate=(0.574 if kind == "MALA" else 0.234) if adapt and k != 3 else None,
         )
         for k in range(5)
     ]
@@ -405,30 +407,16 @@ def test_run_chains_matches_scalar_kernel(kind, adapt):
     batch = samplers.run_chains(t, configs, x0s)
     assert len(batch) == len(configs)
     for cfg, x0, got in zip(configs, x0s, batch):
-        ref = samplers.run_chain(t, cfg, x0)
+        (ref,) = samplers.run_chains(t, [cfg], x0[None])
         assert got.config is cfg
         assert np.array_equal(got.x0, x0)
         assert np.array_equal(got.accepted, ref.accepted)
         assert np.abs(got.states - ref.states).max() <= 1e-10
         assert got.final_step_size == pytest.approx(ref.final_step_size, rel=1e-12, abs=0)
         assert got.n_warnings == ref.n_warnings
-        if cfg.adapt is None:
+        if cfg.adapt_rate is None:
             assert got.final_step_size == cfg.step_size
     assert 0.05 < np.mean([tr.accepted.mean() for tr in batch]) < 0.95
-
-
-def test_run_chains_single_chain_is_bit_identical_to_rwm_chain():
-    t = targets.gaussian_target(np.zeros(5), SIGMA_PI_FIXTURE)
-    p = preconditioners.diag_covariance_preconditioner(SIGMA_PI_FIXTURE)
-    for adapt in (None, AdaptConfig(target_rate=0.234)):
-        cfg = _rwm_config(5, 0.9, 800, seed=23, adapt=adapt, precond=p)
-        x0 = np.full(5, 0.3)
-        (got,) = samplers.run_chains(t, [cfg], x0[None, :])
-        ref = samplers.rwm_chain(t, cfg, x0=x0)
-        assert np.array_equal(got.states, ref.states)
-        assert np.array_equal(got.accepted, ref.accepted)
-        assert np.array_equal(got.log_potentials, ref.log_potentials)
-        assert got.final_step_size == ref.final_step_size
 
 
 def test_run_chains_nonfinite_start():
