@@ -16,8 +16,13 @@ EXIT_CONFIG = 1
 EXIT_ASSUMPTION = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits EXIT_CONFIG, not argparse's 2
+        raise PrecondError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="precond",
         description=(
             "Linear preconditioning toolkit: condition numbers, bound "
@@ -44,25 +49,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--preset", help=f"one of {sorted(experiments.PRESETS)}")
     p_exp.add_argument("--seed", type=int, help="override master seed")
     p_exp.add_argument("--out", help="output directory for CSV and JSON")
-    p_exp.add_argument("--paper-scale", action="store_true",
-                       help="use the full-scale preset variant when available")
 
     p_verify = sub.add_parser("verify-bounds", help="run the bound soundness sweep")
     p_verify.add_argument("--config", default="")
     p_verify.add_argument("--preset", default="verify-bounds")
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--out")
-    p_verify.add_argument("--paper-scale", action="store_true")
     return parser
 
 
 def _resolve_config(args) -> experiments.ExperimentConfig:
-    preset = getattr(args, "preset", None) or None
-    if args.paper_scale and preset and preset.endswith("-small"):
-        preset = preset[: -len("-small")]
-    if not preset and not args.config:
+    if not args.preset and not args.config:
         raise PrecondError("either --config or --preset is required")
-    cfg = experiments.load_config(args.config, preset=preset)
+    cfg = experiments.load_config(args.config, preset=args.preset or None)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if args.out:
@@ -118,9 +117,8 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_experiment(args)

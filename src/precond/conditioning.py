@@ -20,7 +20,6 @@ states could only under-state these suprema.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,9 +61,6 @@ class BoundReport:
         if self.extras:
             out["extras"] = {k: _jsonable(v) for k, v in self.extras.items()}
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _jsonable(v):

@@ -11,7 +11,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import conditioning, diagnostics, linalg, preconditioners, samplers, targets
 from .errors import (
-    BoundInapplicableError, ModelFileError, PrecondError, ZeroVarianceError,
+    BoundInapplicableError, DimensionMismatchError, ModelFileError, PrecondError,
+    ZeroVarianceError,
 )
 
 SCHEMA_VERSION = 1
@@ -41,10 +42,33 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# The keys of a config's `extra` object, each with its least value: a sweep
-# may check no instance, and a covariance estimate needs two states.
-EXTRA_MINIMUMS = {"n_instances": 0, "n_preconditioners": 0,
-                  "short_estimate": 2, "long_estimate": 2}
+def _list_of(item):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+_POSITIVE_INTS = (_list_of(lambda x: _is_int(x) and x > 0), "a list of positive integers", None)
+
+# Every config field and `extra` key: its value's check, the check's wording,
+# and its least value, if any. The hyperbolic covariance is estimated from burn_in
+# states, binomial arms measure at the burn-in's adapted step, a shorter measure
+# has no ESS, a covariance needs two states, and SeedSequence takes no negative seed.
+_CONFIG_FIELDS = {
+    "experiment": (lambda v: isinstance(v, str), "a string", None),
+    "dims": _POSITIVE_INTS,
+    "n_multipliers": _POSITIVE_INTS,
+    "mu_list": (_list_of(lambda x: _is_int(x) or isinstance(x, float)), "a list of numbers",
+                None),
+    "chains_per_cell": (_is_int, "an integer", 1),
+    "burn_in": (_is_int, "an integer", {"hyperbolic": 2, "binomial": 1}),
+    "measure": (_is_int, "an integer", diagnostics.MIN_ESS_POINTS),
+    "master_seed": (_is_int, "an integer", 0),
+    "output_dir": (lambda v: isinstance(v, str), "a string", None),
+    "extra": (lambda v: isinstance(v, dict), "an object", None),
+    "extra.n_instances": (_is_int, "an integer", 0),
+    "extra.n_preconditioners": (_is_int, "an integer", 0),
+    "extra.short_estimate": (_is_int, "an integer", 2),
+    "extra.long_estimate": (_is_int, "an integer", 2),
+}
 
 
 @dataclass(frozen=True)
@@ -61,28 +85,23 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = set(self.extra) - set(EXTRA_MINIMUMS)
+        """Check every field against _CONFIG_FIELDS; lists become tuples."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.extra, dict):
+            values |= {f"extra.{key}": value for key, value in self.extra.items()}
+        unknown = set(values) - set(_CONFIG_FIELDS)
         if unknown:
-            raise PrecondError(
-                f"unknown config keys: {sorted('extra.' + k for k in unknown)}")
-        for key, value in self.extra.items():
-            if not _is_int(value):
+            raise PrecondError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in values.items():
+            check, want, least = _CONFIG_FIELDS[key]
+            if not check(value):
+                raise PrecondError(f"config field {key!r} must be {want}, got {value!r}")
+            least = least.get(self.experiment, 0) if isinstance(least, dict) else least
+            if least is not None and value < least:
                 raise PrecondError(
-                    f"config field 'extra.{key}' must be an integer, got {value!r}")
-        # the hyperbolic covariance arm estimates from a chain of burn_in
-        # states, and the binomial arms measure at the burn-in's adapted step
-        burn_in_min = {"hyperbolic": 2, "binomial": 1}.get(self.experiment, 0)
-        # a shorter measurement has no ESS
-        fields = [(key, getattr(self, key), least) for key, least in (
-            ("chains_per_cell", 1), ("burn_in", burn_in_min),
-            ("measure", diagnostics.MIN_ESS_POINTS))]
-        fields += [(f"extra.{key}", value, EXTRA_MINIMUMS[key])
-                   for key, value in self.extra.items()]
-        for key, value, least in fields:
-            if value < least:
-                raise PrecondError(
-                    f"config field {key!r} must be at least {least}, got {value}"
-                )
+                    f"config field {key!r} must be at least {least}, got {value}")
+        for key in ("dims", "n_multipliers", "mu_list"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
 
 
 PRESETS = {
@@ -237,7 +256,7 @@ class _Slot(NamedTuple):
 
 def _run_slots(
     experiment: str, target, cell: tuple, slots: list, kind: str, step: float,
-    measure: int, burn_in: int = 0, rate: Optional[float] = None,
+    measure: int, burn_in: int = 0,
 ) -> list:
     """One row per slot, in slot order, from chains run in lock-step batches.
 
@@ -245,7 +264,7 @@ def _run_slots(
     not run. The others run in the batches of _batches, each under its slot's
     preconditioner throughout. With burn_in 0, each chain measures for
     `measure` steps at `step` from its x0 on its row's seed. Otherwise each
-    chain first adapts its step toward acceptance `rate` for `burn_in` steps
+    chain first adapts its step toward its kind's acceptance for `burn_in` steps
     on derive_seed(seed, 0), then measures at its adapted step from its last
     burn-in state on derive_seed(seed, 1). Every row of a batch of K chains
     reports its wall time / K.
@@ -267,8 +286,7 @@ def _run_slots(
             burn = samplers.run_chains(target, [
                 samplers.ChainConfig(
                     kind=kind, step_size=step, preconditioner=s.precond,
-                    n_steps=burn_in, seed=derive_seed(s.seed, 0),
-                    adapt_rate=rate,
+                    n_steps=burn_in, seed=derive_seed(s.seed, 0), adapt=True,
                 )
                 for s in picked
             ], starts)
@@ -290,12 +308,12 @@ def _run_slots(
 
 
 def _estimate_chain(target, kind: str, step: float, precond, n_steps: int, seed: int,
-                    rate: float, x0: np.ndarray) -> samplers.Trace:
+                    x0: np.ndarray) -> samplers.Trace:
     """One adaptive chain whose states estimate a preconditioner; run alone,
     it takes run_chains' scalar kernel."""
     return samplers.run_chains(target, [samplers.ChainConfig(
         kind=kind, step_size=step, preconditioner=precond, n_steps=n_steps, seed=seed,
-        adapt_rate=rate)], x0[None])[0]
+        adapt=True)], x0[None])[0]
 
 
 def _covariance_or_none(states: np.ndarray, label: str):
@@ -379,7 +397,7 @@ def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
             step0 = d ** (-1.0 / 6.0)
             estimate = _estimate_chain(
                 target, "MALA", step0, identity, config.burn_in,
-                derive_seed(config.master_seed, 1, di, mi, 3), 0.574, beta_ls,
+                derive_seed(config.master_seed, 1, di, mi, 3), beta_ls,
             )
             arms = [
                 ("design", preconditioners.additive_base_preconditioner(a_mat)),
@@ -394,7 +412,7 @@ def run_hyperbolic(config: ExperimentConfig) -> ExperimentResult:
                 for arm_idx, (label, precond) in enumerate(arms)
             ]
             result.rows += _run_slots("hyperbolic", target, (d, n, 0.0), slots, "MALA",
-                                      step0, config.measure, config.burn_in, 0.574)
+                                      step0, config.measure, config.burn_in)
     return result
 
 
@@ -429,11 +447,11 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
 
             short_trace = _estimate_chain(
                 target, "RWM", step0, identity, short_n,
-                derive_seed(config.master_seed, 2, di, mi, 8), 0.234, beta_star,
+                derive_seed(config.master_seed, 2, di, mi, 8), beta_star,
             )
             long_trace = _estimate_chain(
                 target, "RWM", step0, mode_precond, long_n,
-                derive_seed(config.master_seed, 2, di, mi, 9), 0.234, beta_star,
+                derive_seed(config.master_seed, 2, di, mi, 9), beta_star,
             )
 
             arms: list[tuple[str, Optional[preconditioners.Preconditioner]]] = [
@@ -472,7 +490,7 @@ def run_binomial(config: ExperimentConfig) -> ExperimentResult:
                     slots.append(_Slot(label, chain, seed, x0, precond))
             result.rows += _run_slots(
                 "binomial", target, (d, n, mu), slots, "RWM", step0, config.measure,
-                config.burn_in, 0.234,
+                config.burn_in,
             )
     return result
 
@@ -654,7 +672,6 @@ def load_model_file(path: str) -> targets.DifferentiableTarget:
 def analyze(
     target: targets.DifferentiableTarget,
     precond: preconditioners.Preconditioner,
-    xi: float = 1.0,
 ) -> list[conditioning.BoundReport]:
     """Condition numbers and every applicable bound, each one a certificate.
 
@@ -665,6 +682,9 @@ def analyze(
     (lambda_max(H_up - H_lo)/m). No mode search, chain or Hessian evaluation
     is run.
     """
+    if precond.dim != target.dim:
+        raise DimensionMismatchError(f"preconditioner has dimension {precond.dim}, "
+                                     f"but the model has dimension {target.dim}")
     kappa = conditioning.condition_number(target)  # raises without the pair
     env = target.envelope
     sigmas = np.sqrt(precond.sigma_sq)
@@ -686,10 +706,10 @@ def analyze(
         pass
     reports += [
         conditioning.bound_thm3(eps, sigma1, env.m),
-        conditioning.improved_gap_threshold(eps_prime, eps, sigma1, env.m, xi),
-        # the sandwich holds at proposal variance xi / (M d) with kappa = M/m,
-        # the kappa of KappaSummary
-        conditioning.rwm_gap_bounds(kappa, target.dim, xi, eps_prime, big_m=env.big_m),
+        # the gap reports take RWM proposal variance xi / (M d) at xi = 1, and the
+        # sandwich's kappa is M/m, the kappa of KappaSummary
+        conditioning.improved_gap_threshold(eps_prime, eps, sigma1, env.m, xi=1.0),
+        conditioning.rwm_gap_bounds(kappa, target.dim, xi=1.0, eps=eps_prime, big_m=env.big_m),
     ]
     if isinstance(target.structure, targets.MultiplicativeStructure):
         reports.append(conditioning.mult_kappa_bounds(target))
@@ -711,52 +731,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return runners[config.experiment](config)
 
 
-def _is_number_list(v) -> bool:
-    return isinstance(v, list) and all(_is_int(x) or isinstance(x, float) for x in v)
-
-
-# The fields of a JSON config: the check each value must pass, and its wording.
-_CONFIG_FIELDS = {
-    "experiment": (lambda v: isinstance(v, str), "a string"),
-    "dims": (lambda v: isinstance(v, list) and all(_is_int(x) and x > 0 for x in v),
-             "a list of positive integers"),
-    "n_multipliers": (_is_number_list, "a list of numbers"),
-    "mu_list": (_is_number_list, "a list of numbers"),
-    "chains_per_cell": (_is_int, "an integer"),
-    "burn_in": (_is_int, "an integer"),
-    "measure": (_is_int, "an integer"),
-    "master_seed": (_is_int, "an integer"),
-    "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "extra": (lambda v: isinstance(v, dict), "an object"),
-}
-
-
 def _config_fields(data: dict) -> dict:
-    """The ExperimentConfig fields of a JSON config, after key, type and schema checks."""
+    """The ExperimentConfig fields of a JSON config, after key and schema checks."""
     if not isinstance(data, dict):
         raise PrecondError("a config must be a JSON object")
     version = data.get("schema_version", SCHEMA_VERSION)
     if not (_is_int(version) and version == SCHEMA_VERSION):
         raise PrecondError(f"unsupported config schema version {version!r}")
-    unknown = set(data) - set(_CONFIG_FIELDS) - {"schema_version"}
+    kwargs = {k: v for k, v in data.items() if k != "schema_version"}
+    unknown = set(kwargs) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise PrecondError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k in _CONFIG_FIELDS}
-    for key, value in kwargs.items():
-        check, want = _CONFIG_FIELDS[key]
-        if not check(value):
-            raise PrecondError(f"config field {key!r} must be {want}, got {value!r}")
-    for key in ("dims", "n_multipliers", "mu_list"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
     return kwargs
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    fields = _config_fields(data)
-    if "experiment" not in fields:
+    kwargs = _config_fields(data)
+    if "experiment" not in kwargs:
         raise PrecondError("a config without a preset must name its experiment")
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str, preset: Optional[str] = None) -> ExperimentConfig:

@@ -26,6 +26,10 @@ from .targets import DifferentiableTarget
 # Robbins-Monro gains (t + 1)^-ADAPT_DECAY of the step-size adaptation.
 ADAPT_DECAY = 0.6
 
+# The optimal acceptance of each kind, which an adapting chain's step tunes
+# toward (Roberts, Gelman and Gilks 1997; Roberts and Rosenthal 1998).
+ADAPT_RATE = {"RWM": 0.234, "MALA": 0.574}
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -34,17 +38,15 @@ class ChainConfig:
     preconditioner: Preconditioner
     n_steps: int
     seed: int
-    adapt_rate: Optional[float] = None  # acceptance the step adapts toward
+    adapt: bool = False            # adapt the step toward ADAPT_RATE[kind]
 
     def __post_init__(self):
-        if self.kind not in ("RWM", "MALA"):
+        if self.kind not in ADAPT_RATE:
             raise PrecondError(f"unknown chain kind {self.kind!r}")
         if self.step_size <= 0:
             raise PrecondError(f"step size must be positive, got {self.step_size}")
         if self.n_steps < 1:
             raise PrecondError("n_steps must be at least 1")
-        if self.adapt_rate is not None and not 0.0 < self.adapt_rate < 1.0:
-            raise PrecondError(f"adapt rate must lie in (0, 1), got {self.adapt_rate}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def _mh_chain(target: DifferentiableTarget, config: ChainConfig, x0: np.ndarray)
     states = np.empty((n, d))
     accepted = np.empty(n, dtype=bool)
     sigma = config.step_size
-    rate = config.adapt_rate
+    rate = ADAPT_RATE[config.kind] if config.adapt else None
     if rate is None:
         noise *= sigma  # the same products as sigma * noise[t] step by step
     warnings = 0
@@ -209,10 +211,10 @@ def _mh_lockstep(
     accepted = np.empty((k_chains, n), dtype=bool)
     finite_steps = np.empty((n, k_chains), dtype=bool)
     sigma = np.array([c.step_size for c in configs])[:, None]
-    adapting = np.array([c.adapt_rate is not None for c in configs])
+    adapting = np.array([c.adapt for c in configs])
     adapt_any = bool(adapting.any())
     if adapt_any:
-        rate = np.array([c.adapt_rate or 0.0 for c in configs])
+        rate = ADAPT_RATE[configs[0].kind]
         # gains[t, k] = (t + 1)^-ADAPT_DECAY, zero for chains that do not adapt
         gains = (np.arange(1.0, n + 1.0) ** -ADAPT_DECAY)[:, None] * adapting
     else:

@@ -20,6 +20,7 @@ from . import linalg
 from .errors import (
     AssumptionViolationError,
     DefinitenessError,
+    DimensionMismatchError,
     PrecondError,
     SingularMatrixError,
 )
@@ -114,10 +115,16 @@ def _logistic(t: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-t))
 
 
+def _check_length(name: str, v: np.ndarray, n: int, of: str) -> None:
+    if v.shape != (n,):
+        raise DimensionMismatchError(f"{name} has shape {v.shape}, but {of} has {n} rows")
+
+
 def gaussian_target(mu: np.ndarray, sigma: np.ndarray) -> DifferentiableTarget:
     """Gaussian N(mu, sigma) as a target; U(x) = (x-mu)^T Sigma^{-1} (x-mu)/2."""
     mu = np.asarray(mu, dtype=float)
     sigma = linalg.check_symmetric(sigma, "sigma")
+    _check_length("mu", mu, sigma.shape[0], "sigma")
     eig = linalg.sym_eigen(sigma)
     if eig.values[-1] <= linalg.DEFINITENESS_RTOL * eig.values[0]:
         raise DefinitenessError(
@@ -201,6 +208,7 @@ def hyperbolic_regression_target(
     x_mat = np.asarray(x_mat, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = x_mat.shape
+    _check_length("Y", y, n, "X")
     if n < d:
         raise PrecondError(f"need n >= d, got n={n}, d={d}")
     if sigma2 <= 0 or lam <= 0:
@@ -255,6 +263,8 @@ def binomial_gprior_target(
     x_mat = np.asarray(x_mat, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
+    _check_length("Y", y, x_mat.shape[0], "X")
+    _check_length("w", w, x_mat.shape[0], "X")
     if np.any(w <= 0):
         raise PrecondError("all weights must be positive")
     r = float(lambda_over_n)

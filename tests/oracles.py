@@ -21,7 +21,7 @@ from precond.errors import (
     PrecondError,
 )
 from precond.preconditioners import Preconditioner
-from precond.samplers import ChainConfig, Trace, _init_state, adapt_step_size
+from precond.samplers import ADAPT_RATE, ChainConfig, Trace, _init_state, adapt_step_size
 from precond.targets import DifferentiableTarget
 
 
@@ -136,8 +136,8 @@ def rwm_chain_pushforward_view(
             y, u0 = prop, u_prop
         states[t] = linv @ y
         accepted[t] = ok
-        if config.adapt_rate is not None:
-            sigma = adapt_step_size(sigma, t, alpha, config.adapt_rate)
+        if config.adapt:
+            sigma = adapt_step_size(sigma, t, alpha, ADAPT_RATE[config.kind])
     return Trace(
         states=states,
         accepted=accepted,

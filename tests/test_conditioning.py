@@ -931,7 +931,7 @@ def test_bound_report_json_roundtrip():
     import json
 
     rep = conditioning.bound_thm1(0.1, 0.2, np.array([2.0, 1.0]))
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["kind"] == "Thm1"
     assert data["value"] == pytest.approx(rep.value)
     assert data["inputs"]["sigmas"] == [2.0, 1.0]

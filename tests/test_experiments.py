@@ -15,7 +15,8 @@ from precond import (
     cli, conditioning, diagnostics, experiments, linalg, preconditioners, samplers, targets,
 )
 from precond.errors import (
-    DefinitenessError, ModelFileError, PrecondError, SingularMatrixError, ZeroVarianceError,
+    DefinitenessError, DimensionMismatchError, ModelFileError, PrecondError,
+    SingularMatrixError, ZeroVarianceError,
 )
 from precond.experiments import (
     ExperimentConfig,
@@ -465,6 +466,57 @@ def test_cli_analyze_with_preconditioner(tmp_path, capsys):
     assert "value=16" in capsys.readouterr().out  # kappa_L of the corner family
 
 
+_X_3_ROWS = "matrix X 3:\n1.0,0.5\n-0.2,1.1\n0.3,-0.7\n"
+
+
+@pytest.mark.parametrize("model, precond, operands", [
+    ("model: hyperbolic\n" + _X_3_ROWS + "vector Y: 0.5,0.25\nlambda: 1.0\n",
+     None, ("Y has shape (2,)", "X has 3 rows")),
+    ("model: binomial\n" + _X_3_ROWS + "vector Y: 0.5,0.25\nvector w: 1,4,9\n"
+     "lambda_over_n: 0.003\n", None, ("Y has shape (2,)", "X has 3 rows")),
+    ("model: binomial\n" + _X_3_ROWS + "vector Y: 0.5,0.25,1.0\nvector w: 1,4,9,16\n"
+     "lambda_over_n: 0.003\n", None, ("w has shape (4,)", "X has 3 rows")),
+    ("model: gaussian\nvector mu: 0,0,0\nmatrix sigma 2:\n2.0,0.5\n0.5,1.0\n",
+     None, ("mu has shape (3,)", "sigma has 2 rows")),
+    ("model: cosine\nm: 1.0\nM: 4.0\n", "diag,3\n1,0,0\n0,1,0\n0,0,1\n",
+     ("preconditioner has dimension 3", "model has dimension 2")),
+], ids=["hyperbolic-Y", "binomial-Y", "binomial-w", "gaussian-mu", "preconditioner"])
+def test_cli_analyze_shape_mismatch_names_both_operands(tmp_path, capsys, model, precond,
+                                                        operands):
+    argv = ["analyze", "--config", _write(tmp_path, "m.txt", model)]
+    if precond is not None:
+        argv += ["--preconditioner", _write(tmp_path, "p.csv", precond)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(operand in err for operand in operands)
+    with pytest.raises(DimensionMismatchError):
+        if precond is None:
+            load_model_file(argv[2])
+        else:
+            experiments.analyze(load_model_file(argv[2]),
+                                preconditioners.from_csv(precond))
+
+
+@pytest.mark.parametrize("argv, operand", [
+    (["analyze"], "--config"),
+    (["experiment", "--bogus"], "--bogus"),
+    (["verify-bounds", "--seed", "x"], "--seed"),
+    ([], "command"),
+], ids=["missing-config", "unknown-flag", "bad-seed", "no-command"])
+def test_cli_usage_errors_exit_config(capsys, argv, operand):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: precond") and err.count("\n") == 1 and operand in err
+
+
+def test_cli_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "--help"])
+    assert exc.value.code == cli.EXIT_OK
+    assert "--preset" in capsys.readouterr().out
+
+
 def test_cli_experiment_writes_outputs(tmp_path, capsys):
     cfg = {
         "experiment": "counterproductive", "dims": [5], "chains_per_cell": 2,
@@ -504,7 +556,7 @@ def test_cli_preset_override_is_validated(tmp_path, capsys, override):
     {"dims": [2, 0]}, {"dims": [2.0]}, {"n_multipliers": [5, "x"]},
     {"mu_list": [True]}, {"burn_in": True}, {"master_seed": 1.5},
     {"extra": [1]}, {"experiment": 5}, {"output_dir": 3},
-    {"burn_in": -1}, {"chains_per_cell": 0},
+    {"burn_in": -1}, {"chains_per_cell": 0}, {"n_multipliers": [2.5]}, {"master_seed": -1},
 ])
 def test_cli_config_field_types_are_validated(tmp_path, capsys, override):
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
@@ -558,6 +610,17 @@ def test_cli_config_checks_name_their_field(tmp_path, capsys, command, override,
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"measure": "100"}, "config field 'measure' must be an integer, got '100'"),
+    ({"chains_per_cell": None}, "config field 'chains_per_cell' must be an integer, got None"),
+    ({"extra": [1]}, "config field 'extra' must be an object, got [1]"),
+], ids=["measure", "chains", "extra"])
+def test_python_built_config_is_checked_like_json(kwargs, message):
+    with pytest.raises(PrecondError) as err:
+        ExperimentConfig(experiment="binomial", **kwargs)
+    assert str(err.value) == message
 
 
 def test_extra_keys_are_accepted_on_any_experiment():
@@ -859,7 +922,7 @@ def _hyperbolic_per_arm(config):
             (estimate,) = samplers.run_chains(target, [samplers.ChainConfig(
                 kind="MALA", step_size=step0, preconditioner=identity,
                 n_steps=config.burn_in, seed=derive_seed(config.master_seed, 1, di, mi, 3),
-                adapt_rate=0.574)], beta_ls[None])
+                adapt=True)], beta_ls[None])
             try:
                 covariance = preconditioners.dense_covariance_preconditioner(
                     preconditioners.sample_covariance(estimate.states), label="covariance")
@@ -884,7 +947,7 @@ def _hyperbolic_per_arm(config):
                         samplers.ChainConfig(
                             kind="MALA", step_size=step0, preconditioner=precond,
                             n_steps=config.burn_in, seed=derive_seed(seeds[chain], 0),
-                            adapt_rate=0.574)
+                            adapt=True)
                         for chain in batch
                     ], np.tile(beta_ls, (len(batch), 1)))
                     traces = samplers.run_chains(target, [
@@ -986,8 +1049,8 @@ def test_every_arm_measures_at_its_own_adapted_step(monkeypatch, config):
     run_experiment(config)
     assert calls and len(calls) % 2 == 0  # a burn-in batch, then its measurement
     for (burn_configs, burn), (configs, _) in zip(calls[::2], calls[1::2]):
-        assert all(c.adapt_rate is not None for c in burn_configs)
-        assert all(c.adapt_rate is None for c in configs)
+        assert all(c.adapt for c in burn_configs)
+        assert not any(c.adapt for c in configs)
         assert len(configs) == len(burn)
         for cfg, burn_cfg, trace in zip(configs, burn_configs, burn):
             assert cfg.step_size == trace.final_step_size

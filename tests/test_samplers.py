@@ -13,12 +13,12 @@ import oracles
 from test_fixtures import SIGMA_PI_FIXTURE, one_chain, random_spd
 
 
-def _rwm_config(d, sigma, n, seed=0, adapt_rate=None, precond=None):
+def _rwm_config(d, sigma, n, seed=0, adapt=False, precond=None):
     if precond is None:
         precond = preconditioners.identity_preconditioner(d)
     return ChainConfig(
         kind="RWM", step_size=sigma, preconditioner=precond, n_steps=n, seed=seed,
-        adapt_rate=adapt_rate,
+        adapt=adapt,
     )
 
 
@@ -76,7 +76,7 @@ def test_adaptive_pushforward_view_is_step_identical():
     design = preconditioners.design_preconditioner(x_mat)
     x0 = samplers.find_mode(t, design)
     cfg = _rwm_config(4, 2.38 / math.sqrt(4), 2000, seed=11,
-                      adapt_rate=0.234, precond=design)
+                      adapt=True, precond=design)
     a = one_chain(t, cfg, x0=x0)
     b = oracles.rwm_chain_pushforward_view(t, cfg, x0=x0)
     assert 0.1 < a.accepted.mean() < 0.5
@@ -158,14 +158,6 @@ def test_rwm_rejects_nonfinite_start():
         )
 
 
-def test_adapt_rate_validation():
-    p = preconditioners.identity_preconditioner(2)
-    for rate in (0.0, 1.0, -0.5):
-        with pytest.raises(PrecondError, match="adapt rate"):
-            ChainConfig(kind="RWM", step_size=1.0, preconditioner=p, n_steps=10, seed=0,
-                        adapt_rate=rate)
-
-
 def test_adapt_step_size_fixed_point():
     assert samplers.adapt_step_size(0.7, 10, 0.3, 0.3) == pytest.approx(0.7)
     assert samplers.adapt_step_size(0.7, 10, 0.8, 0.3) > 0.7
@@ -174,7 +166,7 @@ def test_adapt_step_size_fixed_point():
 
 def test_rwm_adaptation_reaches_target():
     t = targets.gaussian_target(np.zeros(5), np.eye(5))
-    cfg = _rwm_config(5, 0.1, 10000, seed=8, adapt_rate=0.234)
+    cfg = _rwm_config(5, 0.1, 10000, seed=8, adapt=True)
     trace = one_chain(t, cfg)
     assert trace.accepted[5000:].mean() == pytest.approx(0.234, abs=0.05)
 
@@ -184,8 +176,7 @@ def test_mala_adaptation_reaches_target():
     t = targets.hyperbolic_regression_target(x_mat, y, 1.0, lam)
     p = preconditioners.additive_base_preconditioner(x_mat.T @ x_mat)
     cfg = ChainConfig(
-        kind="MALA", step_size=0.5, preconditioner=p, n_steps=10000, seed=8,
-        adapt_rate=0.574,
+        kind="MALA", step_size=0.5, preconditioner=p, n_steps=10000, seed=8, adapt=True,
     )
     trace = one_chain(t, cfg, x0=samplers.find_mode(t, p))
     assert trace.accepted[5000:].mean() == pytest.approx(0.574, abs=0.05)
@@ -391,7 +382,7 @@ def _mixed_batch(t, design, kind, adapt, n=500):
         ChainConfig(
             kind=kind, step_size=steps[k % 3] * (1.0 + 0.1 * k), preconditioner=precs[k % 3],
             n_steps=n, seed=40 + k,
-            adapt_rate=(0.574 if kind == "MALA" else 0.234) if adapt and k != 3 else None,
+            adapt=adapt and k != 3,
         )
         for k in range(5)
     ]
@@ -414,7 +405,7 @@ def test_run_chains_matches_scalar_kernel(kind, adapt):
         assert np.abs(got.states - ref.states).max() <= 1e-10
         assert got.final_step_size == pytest.approx(ref.final_step_size, rel=1e-12, abs=0)
         assert got.n_warnings == ref.n_warnings
-        if cfg.adapt_rate is None:
+        if not cfg.adapt:
             assert got.final_step_size == cfg.step_size
     assert 0.05 < np.mean([tr.accepted.mean() for tr in batch]) < 0.95
 
