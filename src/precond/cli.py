@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -93,12 +92,7 @@ def _cmd_analyze(args) -> int:
     reports = experiments.analyze(target, precond)
     _print_reports(reports)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "analyze_bounds.json").write_text(
-            json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
-            + "\n"
-        )
+        experiments.save_bounds(reports, Path(args.out) / "analyze_bounds.json")
     return EXIT_OK
 
 

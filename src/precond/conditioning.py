@@ -272,7 +272,7 @@ def mult_kappa_bounds(target: DifferentiableTarget) -> BoundReport:
     logistic-type families, where all entries peak at the same point).
     """
     s = _mult_structure(target)
-    kappa_xtx = linalg.spectral_condition_number(s.design.T @ s.design).cond
+    kappa_xtx = linalg.spectral_condition_number(s.design.T @ s.design)
     sup_l1, inf_ld, sup_lk, inf_lambda_d = _entry_order_stats(s)
     return BoundReport(
         kind="Prop3",
@@ -388,7 +388,7 @@ def diag_dominance_bound(sigma: np.ndarray) -> BoundReport:
     off = np.abs(corr).sum(axis=1) - np.abs(np.diag(corr))
     max_off = float(off.max())
     alpha = math.inf if max_off == 0.0 else 1.0 / max_off
-    kappa_sigma = linalg.spectral_condition_number(sigma).cond
+    kappa_sigma = linalg.spectral_condition_number(sigma)
     ratio = float(diag.max() / diag.min())
     if alpha < 1.0:
         value = d * ((1.0 + alpha) / (1.0 - alpha)) ** 2 * ratio * kappa_sigma
@@ -399,5 +399,5 @@ def diag_dominance_bound(sigma: np.ndarray) -> BoundReport:
         value=value,
         inputs={"alpha": alpha if math.isfinite(alpha) else "inf",
                 "kappa_sigma": kappa_sigma, "diag_ratio": ratio, "d": d},
-        extras={"kappa_corr": linalg.spectral_condition_number(corr).cond},
+        extras={"kappa_corr": linalg.spectral_condition_number(corr)},
     )

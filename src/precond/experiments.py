@@ -46,18 +46,20 @@ def _list_of(item):
     return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
 
 
-_POSITIVE_INTS = (_list_of(lambda x: _is_int(x) and x > 0), "a list of positive integers", None)
+_INT_LIST = (_list_of(_is_int), "a list of integers", 1)
 
 # Every config field and `extra` key: its value's check, the check's wording,
-# and its least value, if any. The hyperbolic covariance is estimated from burn_in
-# states, binomial arms measure at the burn-in's adapted step, a shorter measure
-# has no ESS, a covariance needs two states, and SeedSequence takes no negative seed.
+# and its least value, if any, which a list field applies to each item. Sizes
+# are positive, a binomial mu shifts the design by a finite mu >= 0, the
+# hyperbolic covariance is estimated from burn_in states, binomial arms measure
+# at the burn-in's adapted step, a shorter measure has no ESS, a covariance
+# needs two states, and SeedSequence takes no negative seed.
 _CONFIG_FIELDS = {
     "experiment": (lambda v: isinstance(v, str), "a string", None),
-    "dims": _POSITIVE_INTS,
-    "n_multipliers": _POSITIVE_INTS,
-    "mu_list": (_list_of(lambda x: _is_int(x) or isinstance(x, float)), "a list of numbers",
-                None),
+    "dims": _INT_LIST,
+    "n_multipliers": _INT_LIST,
+    "mu_list": (_list_of(lambda x: _is_int(x) or isinstance(x, float) and math.isfinite(x)),
+                "a list of finite numbers", 0),
     "chains_per_cell": (_is_int, "an integer", 1),
     "burn_in": (_is_int, "an integer", {"hyperbolic": 2, "binomial": 1}),
     "measure": (_is_int, "an integer", diagnostics.MIN_ESS_POINTS),
@@ -97,9 +99,10 @@ class ExperimentConfig:
             if not check(value):
                 raise PrecondError(f"config field {key!r} must be {want}, got {value!r}")
             least = least.get(self.experiment, 0) if isinstance(least, dict) else least
-            if least is not None and value < least:
-                raise PrecondError(
-                    f"config field {key!r} must be at least {least}, got {value}")
+            is_list = isinstance(value, (list, tuple))
+            if least is not None and any(x < least for x in (value if is_list else [value])):
+                raise PrecondError(f"config field {key!r}{' items' if is_list else ''} "
+                                   f"must be at least {least}, got {value}")
         for key in ("dims", "n_multipliers", "mu_list"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
 
@@ -198,12 +201,14 @@ def save_result(result: ExperimentResult, output_dir: str) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{result.experiment}.csv"
     csv_path.write_text(result_to_csv(result))
-    json_path = out / f"{result.experiment}_bounds.json"
-    json_path.write_text(
-        json.dumps([b.to_dict() for b in result.bound_rows], sort_keys=True, indent=2)
-        + "\n"
-    )
-    return csv_path, json_path
+    return csv_path, save_bounds(result.bound_rows, out / f"{result.experiment}_bounds.json")
+
+
+def save_bounds(reports: list, path: Path) -> Path:
+    """Write bound reports as a sorted-key JSON list, making the directory if needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n")
+    return path
 
 
 # Bytes of chain states that one lock-step batch may hold. Chains that would
@@ -576,23 +581,6 @@ def run_verify_bounds(config: ExperimentConfig) -> ExperimentResult:
 
 # -- model files and analyze ---------------------------------------------------
 
-def _parse_matrix(lines: list[str], start: int, n_rows: int) -> tuple[np.ndarray, int]:
-    rows = []
-    idx = start
-    for _ in range(n_rows):
-        if idx >= len(lines):
-            raise ModelFileError("unexpected end of matrix block", line=idx + 1)
-        try:
-            rows.append([float(v) for v in lines[idx].split(",")])
-        except ValueError as exc:
-            raise ModelFileError(f"bad matrix entry: {exc}", line=idx + 1) from exc
-        idx += 1
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ModelFileError("ragged matrix block", line=start + 1)
-    return np.array(rows), idx
-
-
 def load_model_file(path: str) -> targets.DifferentiableTarget:
     """Parse a plain-text model file into a target.
 
@@ -630,14 +618,13 @@ def load_model_file(path: str) -> targets.DifferentiableTarget:
                 raise ModelFileError(
                     f"matrix row count must be a positive integer, got {count!r}",
                     line=idx + 1)
-            mat, idx = _parse_matrix(lines, idx + 1, int(count))
-            matrices[name] = mat
+            block = lines[idx + 1:idx + 1 + int(count)]
+            if len(block) < int(count):
+                raise ModelFileError("unexpected end of matrix block", line=len(lines) + 1)
+            matrices[name] = preconditioners.read_rows(enumerate(block, start=idx + 2))
+            idx += 1 + len(block)
         elif key.startswith("vector "):
-            name = key.split()[1]
-            try:
-                vectors[name] = np.array([float(v) for v in value.split(",")])
-            except ValueError as exc:
-                raise ModelFileError(f"bad vector entry: {exc}", line=idx + 1) from exc
+            vectors[key.split()[1]] = preconditioners.read_rows([(idx + 1, value)])[0]
             idx += 1
         else:
             try:

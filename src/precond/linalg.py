@@ -62,14 +62,6 @@ class EigenDecomposition:
         return (self.vectors * self.values) @ self.vectors.T
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    lambda_max: float
-    lambda_min: float
-    spectral_norm: float  # max |lambda_i|
-    cond: float           # max|lambda_i| / min|lambda_i|
-
-
 def sym_eigen(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, values sorted descending.
 
@@ -92,22 +84,16 @@ def sym_eigen(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def spectral_condition_number(a: np.ndarray) -> SpectralSummary:
+def spectral_condition_number(a: np.ndarray) -> float:
     """Spectral condition number max|lambda_i| / min|lambda_i|."""
-    eig = sym_eigen(a)
-    abs_vals = np.abs(eig.values)
+    abs_vals = np.abs(sym_eigen(a).values)
     top, bottom = abs_vals.max(), abs_vals.min()
     if bottom < SINGULARITY_RTOL * top:
         raise SingularMatrixError(
             f"matrix is singular to working precision (|lambda| range "
             f"[{bottom:.3e}, {top:.3e}])"
         )
-    return SpectralSummary(
-        lambda_max=float(eig.values[0]),
-        lambda_min=float(eig.values[-1]),
-        spectral_norm=float(top),
-        cond=float(top / bottom),
-    )
+    return float(top / bottom)
 
 
 def _require_spd(eig: EigenDecomposition, name: str) -> None:

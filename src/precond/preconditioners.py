@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -170,35 +171,45 @@ def to_csv(precond: Preconditioner) -> str:
     return buf.getvalue()
 
 
+def read_rows(numbered, width: Optional[int] = None) -> np.ndarray:
+    """The comma-separated float rows of ``(line number, text)`` pairs, as a 2-d array.
+
+    A bad entry, or a row whose length is not ``width`` (the first row's when
+    None), raises ModelFileError naming that row's line number.
+    """
+    rows = []
+    for line, text in numbered:
+        try:
+            row = [float(v) for v in text.split(",")]
+        except ValueError as exc:
+            raise ModelFileError(f"bad entry: {exc}", line=line) from exc
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise ModelFileError(f"expected {width} entries, found {len(row)}", line=line)
+        rows.append(row)
+    return np.array(rows)
+
+
 def from_csv(text: str) -> Preconditioner:
-    """Inverse of :func:`to_csv`."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    """Inverse of :func:`to_csv`; blank lines are skipped, errors name the text's own line."""
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ModelFileError("empty preconditioner CSV", line=1)
-    head = lines[0].split(",")
+    head_line, head = lines[0][0], lines[0][1].split(",")
     if len(head) != 2:
-        raise ModelFileError("header must be 'label,dim'", line=1)
+        raise ModelFileError("header must be 'label,dim'", line=head_line)
     label = head[0].strip()
     try:
         dim = int(head[1])
     except ValueError as exc:
-        raise ModelFileError(f"bad dimension {head[1]!r}", line=1) from exc
+        raise ModelFileError(f"bad dimension {head[1]!r}", line=head_line) from exc
     if dim < 1:
-        raise ModelFileError(f"dimension must be positive, got {head[1]!r}", line=1)
+        raise ModelFileError(f"dimension must be positive, got {head[1]!r}", line=head_line)
     if len(lines) != dim + 1:
         raise ModelFileError(
-            f"expected {dim} matrix rows, found {len(lines) - 1}", line=len(lines)
+            f"expected {dim} matrix rows, found {len(lines) - 1}", line=lines[-1][0]
         )
-    rows = []
-    for k, ln in enumerate(lines[1:], start=2):
-        vals = [v.strip() for v in ln.split(",")]
-        if len(vals) != dim:
-            raise ModelFileError(f"expected {dim} entries, found {len(vals)}", line=k)
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError as exc:
-            raise ModelFileError(f"bad entry in row: {exc}", line=k) from exc
-    arr = np.array(rows)
+    arr = read_rows(lines[1:], dim)
     # Already-symmetric positive-definite matrices pass through untouched so
     # that serialization round-trips byte for byte; the rest, singular ones
     # among them, meet from_matrix's rank check.

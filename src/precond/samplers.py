@@ -26,7 +26,7 @@ from .targets import DifferentiableTarget
 # Robbins-Monro gains (t + 1)^-ADAPT_DECAY of the step-size adaptation.
 ADAPT_DECAY = 0.6
 
-# The optimal acceptance of each kind, which an adapting chain's step tunes
+# The optimal acceptance of each kind, which an adaptive chain's step tunes
 # toward (Roberts, Gelman and Gilks 1997; Roberts and Rosenthal 1998).
 ADAPT_RATE = {"RWM": 0.234, "MALA": 0.574}
 
@@ -178,9 +178,10 @@ def _mh_chain(target: DifferentiableTarget, config: ChainConfig, x0: np.ndarray)
 def _mh_lockstep(
     target: DifferentiableTarget, configs: list, x0s: np.ndarray
 ) -> list:
-    """K chains of one kind and length advanced together by the scalar kernel's rule.
+    """K chains of one kind, length and ``adapt`` advanced together by the
+    scalar kernel's rule.
 
-    Each chain keeps its own stream, preconditioner, step size and adaptation;
+    Each chain keeps its own stream, preconditioner and step size;
     potential and gradient see all K proposals as one (K, d) array. Each
     step's states are written over the noise that step consumed.
     """
@@ -211,16 +212,14 @@ def _mh_lockstep(
     accepted = np.empty((k_chains, n), dtype=bool)
     finite_steps = np.empty((n, k_chains), dtype=bool)
     sigma = np.array([c.step_size for c in configs])[:, None]
-    adapting = np.array([c.adapt for c in configs])
-    adapt_any = bool(adapting.any())
-    if adapt_any:
+    adapt = configs[0].adapt
+    if adapt:
         rate = ADAPT_RATE[configs[0].kind]
-        # gains[t, k] = (t + 1)^-ADAPT_DECAY, zero for chains that do not adapt
-        gains = (np.arange(1.0, n + 1.0) ** -ADAPT_DECAY)[:, None] * adapting
+        gains = np.arange(1.0, n + 1.0) ** -ADAPT_DECAY  # (t + 1)^-ADAPT_DECAY
     else:
         states *= sigma[:, :, None]
     for t in range(n):
-        step = sigma * states[:, t] if adapt_any else states[:, t]
+        step = sigma * states[:, t] if adapt else states[:, t]
         if mala:
             s2 = sigma * sigma
             prop = x + step - 0.5 * s2 * drift0
@@ -243,7 +242,7 @@ def _mh_lockstep(
             np.copyto(drift0, drift_prop, where=moved)
         states[:, t] = x
         accepted[:, t] = ok
-        if adapt_any:
+        if adapt:
             alpha = _accept_prob(log_ratio, finite_steps[t])
             sigma = sigma * np.exp(gains[t] * (alpha - rate))[:, None]
     return [
@@ -262,20 +261,20 @@ def _mh_lockstep(
 def run_chains(
     target: DifferentiableTarget, configs: list, x0s: np.ndarray
 ) -> list:
-    """Run K chains of one kind and length from the K initial states ``x0s``;
-    returns their traces in order.
+    """Run K chains of one kind, length and ``adapt`` from the K initial states
+    ``x0s``; returns their traces in order.
 
     Each chain draws its normals, then its uniforms, from its own
-    ``SeedSequence(seed)`` stream, and has its own preconditioner, step size
-    and adaptation. One chain runs the scalar kernel, which is faster than
+    ``SeedSequence(seed)`` stream, and has its own preconditioner and step
+    size. One chain runs the scalar kernel, which is faster than
     lock-step at K = 1; K > 1 chains run in lock-step, which needs the
     target's potential and gradient to accept a (K, d) array of states.
     """
     configs = list(configs)
     if not configs:
         raise PrecondError("run_chains needs at least one chain config")
-    if len({(c.kind, c.n_steps) for c in configs}) > 1:
-        raise PrecondError("run_chains needs chains of one kind and one length")
+    if len({(c.kind, c.n_steps, c.adapt) for c in configs}) > 1:
+        raise PrecondError("run_chains needs chains of one kind, one length and one adapt")
     k_chains, d = len(configs), target.dim
     x0s = np.asarray(x0s, dtype=float)
     if x0s.shape != (k_chains, d):

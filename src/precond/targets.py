@@ -275,11 +275,14 @@ def binomial_gprior_target(
     if xtx_eig.values[-1] <= linalg.DEFINITENESS_RTOL * xtx_eig.values[0]:
         raise SingularMatrixError("X^T X is singular")
     prior_prec = r * (x_mat.T @ (w[:, None] * x_mat))  # r X^T W X
+    # ((1 - y) t + log(1 + e^-t)) @ w with t = X beta, read through the exact
+    # negations y - 1 and -t = (-X) beta
+    y_minus_1, neg_x = y - 1.0, -x_mat
 
     def potential(beta):
         beta = np.asarray(beta, dtype=float)
-        t = _apply(x_mat, beta)
-        ll = ((1.0 - y) * t + np.logaddexp(0.0, -t)) @ w
+        neg_t = _apply(neg_x, beta)
+        ll = (y_minus_1 * neg_t + np.logaddexp(0.0, neg_t)) @ w
         u = ll + 0.5 * _rowdot(beta @ prior_prec, beta)
         return float(u) if beta.ndim == 1 else u
 

@@ -602,8 +602,14 @@ def test_cli_burn_in_is_required_where_arms_are_built_from_it(tmp_path, capsys, 
      "config field 'extra.long_estimate' must be an integer, got '9'"),
     (["experiment", "--preset", "paper-4.2-small"], {"burn_in": 1},
      "config field 'burn_in' must be at least 2, got 1"),
+    (["experiment", "--preset", "paper-4.3-small"], {"dims": [2], "mu_list": [0.0, -1.0]},
+     "config field 'mu_list' items must be at least 0, got [0.0, -1.0]"),
+    (["experiment", "--preset", "paper-4.3-small"], {"mu_list": [math.nan]},
+     "config field 'mu_list' must be a list of finite numbers, got [nan]"),
+    (["experiment", "--preset", "paper-4.3-small"], {"mu_list": [math.inf]},
+     "config field 'mu_list' must be a list of finite numbers, got [inf]"),
 ], ids=["negative-sweep", "negative-preconditioners", "misspelt-key", "float", "bool",
-        "short-estimate", "string", "hyperbolic-burn-in"])
+        "short-estimate", "string", "hyperbolic-burn-in", "negative-mu", "nan-mu", "inf-mu"])
 def test_cli_config_checks_name_their_field(tmp_path, capsys, command, override, message):
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
     code = cli.main(command + ["--config", cfg_path, "--out", str(tmp_path / "res")])

@@ -45,7 +45,7 @@ def test_diag_covariance_matches_correlation_condition_number():
     p = preconditioners.diag_covariance_preconditioner(SIGMA_PI_FIXTURE)
     d = np.sqrt(np.diag(SIGMA_PI_FIXTURE))
     corr = SIGMA_PI_FIXTURE / np.outer(d, d)
-    expect = linalg.spectral_condition_number(corr).cond
+    expect = linalg.spectral_condition_number(corr)
     assert kappa_after(t, p) == pytest.approx(expect, rel=1e-10)
     assert round(kappa_after(t, p), -2) == 8100.0
 
@@ -177,6 +177,9 @@ def test_csv_errors_carry_line_numbers():
     with pytest.raises(ModelFileError) as err:
         preconditioners.from_csv("lbl,notanint\n")
     assert err.value.line == 1
+    with pytest.raises(ModelFileError) as err:  # a blank line keeps its number
+        preconditioners.from_csv("diag,2\n1,0\n\n0,x\n")
+    assert err.value.line == 4
 
 
 def test_symmetrize_noop_on_spd():

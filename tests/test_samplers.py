@@ -364,7 +364,7 @@ def test_mala_matches_pushforward_reference():
 
 
 def _mixed_batch(t, design, kind, adapt, n=500):
-    """Five chains with their own preconditioner, step size, seed and adaptation.
+    """Five chains with their own preconditioner, step size and seed, and one ``adapt``.
 
     MALA step sizes stay inside each preconditioner's stable range: beyond it
     the drift map amplifies one-ulp differences between the batched and the
@@ -381,8 +381,7 @@ def _mixed_batch(t, design, kind, adapt, n=500):
     configs = [
         ChainConfig(
             kind=kind, step_size=steps[k % 3] * (1.0 + 0.1 * k), preconditioner=precs[k % 3],
-            n_steps=n, seed=40 + k,
-            adapt=adapt and k != 3,
+            n_steps=n, seed=40 + k, adapt=adapt,
         )
         for k in range(5)
     ]
@@ -423,10 +422,13 @@ def test_run_chains_rejects_mixed_batches():
     rwm = _rwm_config(2, 1.0, 20, seed=1)
     mala = ChainConfig(kind="MALA", step_size=0.5, preconditioner=p, n_steps=20, seed=2)
     shorter = _rwm_config(2, 1.0, 10, seed=3)
+    adaptive = _rwm_config(2, 1.0, 20, seed=4, adapt=True)
     with pytest.raises(PrecondError):
         samplers.run_chains(t, [rwm, mala], np.zeros((2, 2)))
     with pytest.raises(PrecondError):
         samplers.run_chains(t, [rwm, shorter], np.zeros((2, 2)))
+    with pytest.raises(PrecondError):
+        samplers.run_chains(t, [rwm, adaptive], np.zeros((2, 2)))
     with pytest.raises(PrecondError):
         samplers.run_chains(t, [rwm, rwm], np.zeros((3, 2)))
     with pytest.raises(PrecondError):
