@@ -50,17 +50,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", help="output directory for CSV and JSON")
 
     p_verify = sub.add_parser("verify-bounds", help="run the bound soundness sweep")
-    p_verify.add_argument("--config", default="")
-    p_verify.add_argument("--preset", default="verify-bounds")
+    p_verify.add_argument("--config", default="",
+                          help="JSON config file (overrides the verify-bounds preset)")
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--out")
     return parser
 
 
 def _resolve_config(args) -> experiments.ExperimentConfig:
-    if not args.preset and not args.config:
+    if args.command == "verify-bounds":
+        cfg = experiments.load_config(args.config, preset="verify-bounds",
+                                      experiment="verify-bounds")
+    elif not args.preset and not args.config:
         raise PrecondError("either --config or --preset is required")
-    cfg = experiments.load_config(args.config, preset=args.preset or None)
+    else:
+        cfg = experiments.load_config(args.config, preset=args.preset or None)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if args.out:
@@ -97,10 +101,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    """Run ``experiment``, or ``verify-bounds`` on any preset or config."""
+    """Run ``experiment``, or ``verify-bounds`` on its preset and config."""
     cfg = _resolve_config(args)
-    if args.command == "verify-bounds":
-        cfg = replace(cfg, experiment="verify-bounds")
     result = experiments.run_experiment(cfg)
     csv_path, json_path = experiments.save_result(result, cfg.output_dir)
     n_fail = sum(1 for row in result.rows if row.get("status") == "fail")

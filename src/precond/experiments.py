@@ -46,30 +46,33 @@ def _list_of(item):
     return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
 
 
+_CHAINS = frozenset({"counterproductive", "hyperbolic", "binomial"})
+_ALL = _CHAINS | {"verify-bounds"}
 _INT_LIST = (_list_of(_is_int), "a list of integers", 1)
 
 # Every config field and `extra` key: its value's check, the check's wording,
-# and its least value, if any, which a list field applies to each item. Sizes
-# are positive, a binomial mu shifts the design by a finite mu >= 0, the
-# hyperbolic covariance is estimated from burn_in states, binomial arms measure
-# at the burn-in's adapted step, a shorter measure has no ESS, a covariance
-# needs two states, and SeedSequence takes no negative seed.
+# its least value, if any, which a list field applies to each item, and the
+# experiments that read it. Sizes are positive, a binomial mu shifts the design
+# by a finite mu >= 0, the hyperbolic covariance is estimated from burn_in
+# states, binomial arms measure at the burn-in's adapted step, a shorter measure
+# has no ESS, a covariance needs two states, and SeedSequence takes no negative
+# seed. The verify-bounds sweep draws its own dimensions and runs no chain.
 _CONFIG_FIELDS = {
-    "experiment": (lambda v: isinstance(v, str), "a string", None),
-    "dims": _INT_LIST,
-    "n_multipliers": _INT_LIST,
+    "experiment": (lambda v: isinstance(v, str), "a string", None, _ALL),
+    "dims": _INT_LIST + (_CHAINS,),
+    "n_multipliers": _INT_LIST + ({"hyperbolic"},),
     "mu_list": (_list_of(lambda x: _is_int(x) or isinstance(x, float) and math.isfinite(x)),
-                "a list of finite numbers", 0),
-    "chains_per_cell": (_is_int, "an integer", 1),
-    "burn_in": (_is_int, "an integer", {"hyperbolic": 2, "binomial": 1}),
-    "measure": (_is_int, "an integer", diagnostics.MIN_ESS_POINTS),
-    "master_seed": (_is_int, "an integer", 0),
-    "output_dir": (lambda v: isinstance(v, str), "a string", None),
-    "extra": (lambda v: isinstance(v, dict), "an object", None),
-    "extra.n_instances": (_is_int, "an integer", 0),
-    "extra.n_preconditioners": (_is_int, "an integer", 0),
-    "extra.short_estimate": (_is_int, "an integer", 2),
-    "extra.long_estimate": (_is_int, "an integer", 2),
+                "a list of finite numbers", 0, {"binomial"}),
+    "chains_per_cell": (_is_int, "an integer", 1, _CHAINS),
+    "burn_in": (_is_int, "an integer", {"hyperbolic": 2, "binomial": 1}, _CHAINS),
+    "measure": (_is_int, "an integer", diagnostics.MIN_ESS_POINTS, _CHAINS),
+    "master_seed": (_is_int, "an integer", 0, _ALL),
+    "output_dir": (lambda v: isinstance(v, str), "a string", None, _ALL),
+    "extra": (lambda v: isinstance(v, dict), "an object", None, {"binomial", "verify-bounds"}),
+    "extra.n_instances": (_is_int, "an integer", 0, {"verify-bounds"}),
+    "extra.n_preconditioners": (_is_int, "an integer", 0, {"verify-bounds"}),
+    "extra.short_estimate": (_is_int, "an integer", 2, {"binomial"}),
+    "extra.long_estimate": (_is_int, "an integer", 2, {"binomial"}),
 }
 
 
@@ -95,7 +98,7 @@ class ExperimentConfig:
         if unknown:
             raise PrecondError(f"unknown config keys: {sorted(unknown)}")
         for key, value in values.items():
-            check, want, least = _CONFIG_FIELDS[key]
+            check, want, least, _ = _CONFIG_FIELDS[key]
             if not check(value):
                 raise PrecondError(f"config field {key!r} must be {want}, got {value!r}")
             least = least.get(self.experiment, 0) if isinstance(least, dict) else least
@@ -135,8 +138,7 @@ PRESETS = {
         extra={"short_estimate": 4_000, "long_estimate": 20_000},
     ),
     "verify-bounds": ExperimentConfig(
-        experiment="verify-bounds", dims=(2, 5, 10),
-        extra={"n_instances": 100, "n_preconditioners": 50},
+        experiment="verify-bounds", extra={"n_instances": 100, "n_preconditioners": 50},
     ),
 }
 
@@ -336,12 +338,16 @@ def _covariance_or_none(states: np.ndarray, label: str):
 def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
     """RWM on the fixed 5-d Gaussian with dense, diagonal, and no preconditioning.
 
-    Every chain of every arm starts at equilibrium and runs without burn-in,
-    in one batch per cell (or several of near-equal size, which may mix
-    arms); rows stay in arm-major order.
+    `dims` must be [5], the dimension of SIGMA_PI. Every chain of every arm
+    starts at equilibrium, adapts its step for `burn_in` steps if any, and
+    measures, in one batch per cell (or several of near-equal size, which may
+    mix arms); rows stay in arm-major order.
     """
     sigma = SIGMA_PI
     d = sigma.shape[0]
+    if config.dims != (d,):
+        raise PrecondError(f"config field 'dims' must be [{d}] for experiment "
+                           f"'counterproductive', got {list(config.dims)}")
     target = targets.gaussian_target(np.zeros(d), sigma)
     arms = [
         preconditioners.identity_preconditioner(d, label="none"),
@@ -366,7 +372,7 @@ def run_counterproductive(config: ExperimentConfig) -> ExperimentResult:
                 np.random.SeedSequence([seed, 1])).standard_normal(d)
             slots.append(_Slot(arm.label, chain, seed, x0, arm))
     result.rows = _run_slots("counterproductive", target, (d, d, 0.0), slots,
-                             "RWM", 2.38 / math.sqrt(d), config.measure)
+                             "RWM", 2.38 / math.sqrt(d), config.measure, config.burn_in)
     return result
 
 
@@ -586,7 +592,8 @@ def load_model_file(path: str) -> targets.DifferentiableTarget:
 
     Format: `model: <gaussian|hyperbolic|binomial|cosine>` followed by
     `key: value` scalars, `vector <key>: v1,v2,...` lines, and
-    `matrix <key> <rows>:` headers introducing row-major CSV blocks.
+    `matrix <key> <rows>:` headers introducing row-major CSV blocks. Every
+    value goes through read_rows, so each must parse and be finite.
     """
     text = Path(path).read_text()
     lines = [ln.rstrip() for ln in text.splitlines()]
@@ -627,10 +634,7 @@ def load_model_file(path: str) -> targets.DifferentiableTarget:
             vectors[key.split()[1]] = preconditioners.read_rows([(idx + 1, value)])[0]
             idx += 1
         else:
-            try:
-                scalars[key] = float(value)
-            except ValueError as exc:
-                raise ModelFileError(f"bad scalar {key!r}: {exc}", line=idx + 1) from exc
+            scalars[key] = float(preconditioners.read_rows([(idx + 1, value)], width=1)[0, 0])
             idx += 1
     if model is None:
         raise ModelFileError("missing 'model:' line", line=1)
@@ -739,13 +743,30 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path: str, preset: Optional[str] = None) -> ExperimentConfig:
-    """A config from a JSON file, or a preset with the file's fields overriding it."""
+def load_config(path: str, preset: Optional[str] = None,
+                experiment: Optional[str] = None) -> ExperimentConfig:
+    """A config from a JSON file, or a preset with the file's fields overriding it.
+
+    The experiment that runs is `experiment` when given (the file may name no
+    other), else the config's own. After the value checks, each key the file
+    gives must be one that experiment reads; preset and dataclass defaults are
+    not checked.
+    """
+    data = json.loads(Path(path).read_text()) if path else {}
     if preset is None:
-        return config_from_dict(json.loads(Path(path).read_text()))
-    if preset not in PRESETS:
+        config = config_from_dict(data)
+    elif preset not in PRESETS:
         raise PrecondError(
             f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
         )
-    data = json.loads(Path(path).read_text()) if path else {}
-    return replace(PRESETS[preset], **_config_fields(data))
+    else:
+        config = replace(PRESETS[preset], **_config_fields(data))
+    experiment = experiment or config.experiment
+    if config.experiment != experiment:
+        raise PrecondError(f"config field 'experiment' must be {experiment!r} for this "
+                           f"command, got {config.experiment!r}")
+    for key in [*data, *(f"extra.{k}" for k in data.get("extra", {}))]:
+        if key != "schema_version" and experiment in _ALL - _CONFIG_FIELDS[key][3]:
+            raise PrecondError(
+                f"config field {key!r} is not read by experiment {experiment!r}")
+    return config

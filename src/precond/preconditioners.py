@@ -9,6 +9,7 @@ normalizing on ingestion.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -174,8 +175,8 @@ def to_csv(precond: Preconditioner) -> str:
 def read_rows(numbered, width: Optional[int] = None) -> np.ndarray:
     """The comma-separated float rows of ``(line number, text)`` pairs, as a 2-d array.
 
-    A bad entry, or a row whose length is not ``width`` (the first row's when
-    None), raises ModelFileError naming that row's line number.
+    A bad or non-finite entry, or a row whose length is not ``width`` (the
+    first row's when None), raises ModelFileError naming that row's line number.
     """
     rows = []
     for line, text in numbered:
@@ -183,6 +184,9 @@ def read_rows(numbered, width: Optional[int] = None) -> np.ndarray:
             row = [float(v) for v in text.split(",")]
         except ValueError as exc:
             raise ModelFileError(f"bad entry: {exc}", line=line) from exc
+        bad = [v for v in row if not math.isfinite(v)]
+        if bad:
+            raise ModelFileError(f"bad entry: {bad[0]} is not finite", line=line)
         width = len(row) if width is None else width
         if len(row) != width:
             raise ModelFileError(f"expected {width} entries, found {len(row)}", line=line)

@@ -369,6 +369,31 @@ def test_load_model_file_errors_with_line_numbers(tmp_path):
         load_model_file(_write(tmp_path, "e.txt", "model: gaussian\n"))  # no sigma
 
 
+@pytest.mark.parametrize("text, line", [
+    ("model: hyperbolic\nmatrix X 2:\n1,0\n0,1\nvector Y: 1,2\nlambda: nan\n", 6),
+    ("model: hyperbolic\nmatrix X 2:\n1,0\n0,1\nvector Y: 1,2\nlambda: inf\n", 6),
+    ("model: hyperbolic\nmatrix X 2:\n1,0\n0,1\nvector Y: 1,2\nlambda: 1\nsigma2: nan\n", 7),
+    ("model: hyperbolic\nmatrix X 2:\n1,0\n0,1\nvector Y: 1,nan\nlambda: 1\n", 5),
+    ("model: binomial\nmatrix X 2:\n1,0\n0,1\nvector Y: 0.5,0.5\nvector w: 1,nan\n"
+     "lambda_over_n: 0.1\n", 6),
+    ("model: binomial\nmatrix X 2:\n1,0\n0,1\nvector Y: 0.5,0.5\nvector w: inf,1\n"
+     "lambda_over_n: 0.1\n", 6),
+    ("model: binomial\nmatrix X 2:\n1,0\n0,1\nvector Y: 0.5,0.5\nvector w: 1,1\n"
+     "lambda_over_n: inf\n", 7),
+    ("model: cosine\nm: 1\nM: inf\n", 3),
+    ("model: gaussian\nvector mu: 0,-inf\nmatrix sigma 2:\n1,0\n0,1\n", 2),
+], ids=["hyperbolic-lambda-nan", "hyperbolic-lambda-inf", "hyperbolic-sigma2-nan",
+        "hyperbolic-Y-nan", "binomial-w-nan", "binomial-w-inf", "binomial-lambda-inf",
+        "cosine-M-inf", "gaussian-mu-inf"])
+def test_model_file_values_must_be_finite(tmp_path, capsys, text, line):
+    path = _write(tmp_path, "model.txt", text)
+    with pytest.raises(ModelFileError, match="is not finite") as err:
+        load_model_file(path)
+    assert err.value.line == line
+    assert cli.main(["analyze", "--config", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
 def test_analyze_fixture_with_diag(tmp_path):
     from precond.experiments import analyze
     from precond import targets
@@ -502,8 +527,9 @@ def test_cli_analyze_shape_mismatch_names_both_operands(tmp_path, capsys, model,
     (["analyze"], "--config"),
     (["experiment", "--bogus"], "--bogus"),
     (["verify-bounds", "--seed", "x"], "--seed"),
+    (["verify-bounds", "--preset", "verify-bounds"], "--preset"),
     ([], "command"),
-], ids=["missing-config", "unknown-flag", "bad-seed", "no-command"])
+], ids=["missing-config", "unknown-flag", "bad-seed", "verify-bounds-preset", "no-command"])
 def test_cli_usage_errors_exit_config(capsys, argv, operand):
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -608,14 +634,48 @@ def test_cli_burn_in_is_required_where_arms_are_built_from_it(tmp_path, capsys, 
      "config field 'mu_list' must be a list of finite numbers, got [nan]"),
     (["experiment", "--preset", "paper-4.3-small"], {"mu_list": [math.inf]},
      "config field 'mu_list' must be a list of finite numbers, got [inf]"),
+    *[(["experiment", "--preset", preset], override,
+       f"config field {key!r} is not read by experiment {experiment!r}")
+      for preset, experiment, override, key in [
+          ("paper-4.2-small", "hyperbolic", {"mu_list": [1.0]}, "mu_list"),
+          ("paper-4.2-small", "hyperbolic", {"extra": {"short_estimate": 4000}}, "extra"),
+          ("paper-4.3-small", "binomial", {"n_multipliers": [5]}, "n_multipliers"),
+          ("paper-4.3-small", "binomial", {"extra": {"n_instances": 1}}, "extra.n_instances"),
+          ("paper-4.1-small", "counterproductive", {"n_multipliers": [5]}, "n_multipliers"),
+          ("paper-4.1-small", "counterproductive", {"mu_list": [0.0]}, "mu_list"),
+          ("paper-4.1-small", "counterproductive", {"extra": {}}, "extra"),
+      ]],
+    *[(["verify-bounds"], {key: value},
+       f"config field {key!r} is not read by experiment 'verify-bounds'")
+      for key, value in [("dims", [2, 5, 10]), ("n_multipliers", [5]), ("mu_list", [0.0]),
+                         ("chains_per_cell", 5), ("burn_in", 2000), ("measure", 2000)]],
+    (["verify-bounds"], {"extra": {"long_estimate": 20000}},
+     "config field 'extra.long_estimate' is not read by experiment 'verify-bounds'"),
+    (["verify-bounds"], {"experiment": "binomial", "extra": {"n_instances": 1}},
+     "config field 'experiment' must be 'verify-bounds' for this command, got 'binomial'"),
+    (["experiment", "--preset", "paper-4.1-small"], {"dims": [2, 5]},
+     "config field 'dims' must be [5] for experiment 'counterproductive', got [2, 5]"),
 ], ids=["negative-sweep", "negative-preconditioners", "misspelt-key", "float", "bool",
-        "short-estimate", "string", "hyperbolic-burn-in", "negative-mu", "nan-mu", "inf-mu"])
+        "short-estimate", "string", "hyperbolic-burn-in", "negative-mu", "nan-mu", "inf-mu",
+        "hyperbolic-mu", "hyperbolic-extra", "binomial-multipliers", "binomial-sweep-size",
+        "counterproductive-multipliers", "counterproductive-mu", "counterproductive-extra",
+        "sweep-dims", "sweep-multipliers", "sweep-mu", "sweep-chains", "sweep-burn-in",
+        "sweep-measure", "sweep-estimate", "sweep-experiment", "counterproductive-dims"])
 def test_cli_config_checks_name_their_field(tmp_path, capsys, command, override, message):
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(override))
     code = cli.main(command + ["--config", cfg_path, "--out", str(tmp_path / "res")])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "res").exists()
+
+
+def test_counterproductive_arms_adapt_in_burn_in():
+    # without burn-in the fixed step 2.38/sqrt(5) accepts about 4% under none
+    # and 0.4% under diag; adapted, every arm sits near RWM's 0.234
+    result = run_experiment(replace(TINY, chains_per_cell=4, burn_in=2000, measure=1000))
+    for arm in ("none", "dense", "diag"):
+        rates = [row["acceptance"] for row in result.rows if row["arm"] == arm]
+        assert len(rates) == 4 and 0.18 <= np.mean(rates) <= 0.30, (arm, rates)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -644,17 +704,6 @@ def test_config_schema_version_must_be_the_integer(version):
         config_from_dict({"experiment": "binomial", "schema_version": version})
 
 
-def test_cli_verify_bounds_runs_the_sweep_on_any_preset(tmp_path, capsys):
-    cfg_path = _write(tmp_path, "cfg.json", json.dumps(
-        {"extra": {"n_instances": 1, "n_preconditioners": 2}}))
-    code = cli.main(["verify-bounds", "--preset", "paper-4.1-small", "--config",
-                     cfg_path, "--out", str(tmp_path / "vb")])
-    assert code == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "verify-bounds.csv (4 rows)" in out and "bound violations: 0" in out
-    assert (tmp_path / "vb" / "verify-bounds_bounds.json").exists()
-
-
 def test_cli_config_without_preset_needs_experiment(tmp_path, capsys):
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({"dims": [2]}))
     assert cli.main(["experiment", "--config", cfg_path]) == cli.EXIT_CONFIG
@@ -673,8 +722,7 @@ def test_cli_verify_bounds(tmp_path, capsys):
            "extra": {"n_instances": 2, "n_preconditioners": 3}}
     cfg_path = _write(tmp_path, "cfg.json", json.dumps(cfg))
     code = cli.main([
-        "verify-bounds", "--config", cfg_path, "--preset", "",
-        "--out", str(tmp_path / "vb"),
+        "verify-bounds", "--config", cfg_path, "--out", str(tmp_path / "vb"),
     ])
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out

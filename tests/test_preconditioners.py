@@ -180,6 +180,9 @@ def test_csv_errors_carry_line_numbers():
     with pytest.raises(ModelFileError) as err:  # a blank line keeps its number
         preconditioners.from_csv("diag,2\n1,0\n\n0,x\n")
     assert err.value.line == 4
+    with pytest.raises(ModelFileError, match="nan is not finite") as err:
+        preconditioners.from_csv("diag,2\n1,0\n0,nan\n")
+    assert err.value.line == 3
 
 
 def test_symmetrize_noop_on_spd():
